@@ -214,27 +214,6 @@ fn bench_controller_caches(c: &mut Criterion) {
     c.bench_function("kernels/compiled_program", |b| {
         b.iter(|| mc.run(&program).unwrap())
     });
-
-    // Cross-bank schedule accounting: a four-program, bank-disjoint
-    // read batch per iteration — compile-cache lookup, merge, and the
-    // batch dispatch on top of the reads themselves.
-    let mut mc = MemoryController::new(Module::new(ModuleConfig::single_chip(
-        GroupId::B,
-        0xBEEF,
-        Geometry {
-            banks: 4,
-            subarrays_per_bank: 2,
-            rows_per_subarray: 8,
-            columns: COLS,
-        },
-    )));
-    let programs: Vec<fracdram_softmc::Program> = (0..4)
-        .map(|bank| mc.read_row_program(RowAddr::new(bank, bank)))
-        .collect();
-    mc.run_scheduled(&programs).unwrap();
-    c.bench_function("kernels/compiled_sched", |b| {
-        b.iter(|| mc.run_scheduled(&programs).unwrap())
-    });
 }
 
 fn bench_task_bodies(c: &mut Criterion) {

@@ -13,9 +13,10 @@
 //! row yields a 65 536-bit response in ≈ 1.5 µs.
 
 use fracdram_model::{Cycles, Geometry, RowAddr};
-use fracdram_softmc::{MemoryController, Program};
+use fracdram_softmc::MemoryController;
 use fracdram_stats::bits::BitVec;
 use fracdram_stats::extractor::von_neumann;
+use fracdram_stats::rng::splitmix64_mix;
 
 use crate::error::Result;
 use crate::frac::{frac_program, require_frac_support, FRAC_CYCLES};
@@ -61,12 +62,7 @@ pub fn challenge_set(geometry: &Geometry, n: usize, seed: u64) -> Vec<Challenge>
     let mut seen = std::collections::HashSet::new();
     let mut counter = 0u64;
     while out.len() < n {
-        let mut z = seed
-            .wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64_mix(seed.wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         counter += 1;
         let bank = (z as usize) % banks;
         let row = ((z >> 32) as usize) % rows;
@@ -109,17 +105,12 @@ pub fn evaluate_with(
     Ok(BitVec::from_bools(&bits))
 }
 
-/// Evaluates a whole challenge set in order, batching consecutive
-/// bank-disjoint challenges through
-/// [`MemoryController::run_scheduled`].
+/// Evaluates a whole challenge set in order.
 ///
 /// Each challenge becomes one self-contained program (write the ones
-/// pattern, issue the Frac burst, read the row out), so a batch of
-/// them is a set of independent per-bank command streams — exactly
-/// what the cross-bank scheduler merges. Responses are byte-identical
-/// to a per-challenge [`evaluate`] loop: programs still execute in
-/// challenge order at the same cycle offsets, and the merge is pure
-/// bus-occupancy accounting (`sched_*` counters).
+/// pattern, issue the Frac burst, read the row out) run through
+/// [`MemoryController::run`]. Responses and the final clock are
+/// byte-identical to a per-challenge [`evaluate`] loop.
 ///
 /// # Errors
 ///
@@ -127,40 +118,16 @@ pub fn evaluate_with(
 pub fn evaluate_set(mc: &mut MemoryController, challenges: &[Challenge]) -> Result<Vec<BitVec>> {
     require_frac_support(mc)?;
     let mut out = Vec::with_capacity(challenges.len());
-    let mut batch: Vec<Program> = Vec::new();
-    let mut banks = std::collections::BTreeSet::new();
     for &challenge in challenges {
         let addr = challenge.addr();
-        // A bank repeat ends the schedulable batch: programs on the
-        // same bank contend for the same timing window, so flush the
-        // disjoint prefix first to keep every batch mergeable.
-        if !banks.insert(addr.bank) {
-            run_batch(mc, &mut batch, &mut out)?;
-            banks.clear();
-            banks.insert(addr.bank);
-        }
         let ones = crate::frac::physical_pattern(mc, addr, true);
         let mut program = mc.write_row_program(addr, &ones);
         program.extend_from(&frac_program(addr, PUF_FRAC_OPS));
         program.extend_from(&mc.read_row_program(addr));
-        batch.push(program);
+        let bits = mc.run(&program)?.single_read()?;
+        out.push(BitVec::from_bools(&bits));
     }
-    run_batch(mc, &mut batch, &mut out)?;
     Ok(out)
-}
-
-/// Executes one bank-disjoint batch of challenge programs and extracts
-/// each program's single read-out row.
-fn run_batch(
-    mc: &mut MemoryController,
-    batch: &mut Vec<Program>,
-    out: &mut Vec<BitVec>,
-) -> Result<()> {
-    for outcome in mc.run_scheduled(batch)? {
-        out.push(BitVec::from_bools(&outcome.single_read()?));
-    }
-    batch.clear();
-    Ok(())
 }
 
 /// Whitens raw responses for randomness testing — the paper's
@@ -324,8 +291,6 @@ mod tests {
 
     #[test]
     fn evaluate_set_matches_per_challenge_loop() {
-        // Geometry::tiny() has 2 banks, so a mixed challenge set forms
-        // bank-disjoint pairs the scheduler can merge.
         let challenges = [
             Challenge::new(0, 1),
             Challenge::new(1, 2),
@@ -339,20 +304,10 @@ mod tests {
             .map(|&c| evaluate(&mut looped, c).unwrap())
             .collect();
 
-        let mut batched = controller(GroupId::B, 21);
-        let got = evaluate_set(&mut batched, &challenges).unwrap();
-        assert_eq!(got, expected, "batched responses must be byte-identical");
-        assert_eq!(batched.clock(), looped.clock());
-        let perf = batched.model_perf();
-        assert!(perf.sched_merges >= 2, "disjoint pairs merged: {perf:?}");
-        assert!(perf.sched_overlapped_ticks > 0);
-
-        // Scheduling disabled: same bytes, untouched counters.
-        let mut plain = controller(GroupId::B, 21);
-        plain.set_sched(false);
-        assert_eq!(evaluate_set(&mut plain, &challenges).unwrap(), expected);
-        assert_eq!(plain.model_perf().sched_merges, 0);
-        assert_eq!(plain.model_perf().sched_fallbacks, 0);
+        let mut set = controller(GroupId::B, 21);
+        let got = evaluate_set(&mut set, &challenges).unwrap();
+        assert_eq!(got, expected, "set responses must be byte-identical");
+        assert_eq!(set.clock(), looped.clock());
     }
 
     #[test]

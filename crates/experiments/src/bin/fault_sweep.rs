@@ -138,7 +138,6 @@ fn main() {
             ("seed", "die seed (default 21)"),
             ("jobs", "fleet worker threads (default: all cores)"),
             ("intra-jobs", "chip-parallel workers per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -151,7 +150,6 @@ fn main() {
     let puf_repeats = args.usize("puf-repeats", 4);
     let seed = args.u64("seed", 21);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -24,7 +24,6 @@ fn main() {
             ("ops", "number of Frac operations (default 2, as in Fig. 3)"),
             ("seed", "die seed (default 3)"),
             ("intra-jobs", "chip-parallel workers per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
         ],
     ) {
         return;
@@ -32,7 +31,6 @@ fn main() {
     let ops = args.usize("ops", 2);
     let seed = args.u64("seed", 3);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

@@ -40,7 +40,6 @@ fn main() {
             ("seed", "base seed (default 13)"),
             ("jobs", "fleet worker threads (default: all cores)"),
             ("intra-jobs", "chip-parallel workers per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -54,7 +53,6 @@ fn main() {
     let cols = args.usize("cols", 4096);
     let seed = args.u64("seed", 13);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

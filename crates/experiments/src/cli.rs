@@ -206,22 +206,6 @@ impl Args {
         jobs
     }
 
-    /// Cross-bank batch scheduling switch: `--sched on|off` (default
-    /// on). Off restores purely sequential program accounting. Either
-    /// way the figure output is byte-identical; only the `sched_*`
-    /// perf counters (and wall time on batch-heavy paths) move.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a value other than `on` or `off`.
-    pub fn sched(&self) -> bool {
-        match self.str("sched").unwrap_or("on") {
-            "on" => true,
-            "off" => false,
-            v => panic!("--sched expects on or off, got {v:?}"),
-        }
-    }
-
     /// Structured results dump path: `--json PATH`.
     pub fn json_path(&self) -> Option<&str> {
         self.str("json")
@@ -379,19 +363,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_jobs_panics() {
         args(&["--jobs", "0"]).jobs();
-    }
-
-    #[test]
-    fn sched_switch() {
-        assert!(args(&[]).sched(), "defaults to on");
-        assert!(args(&["--sched", "on"]).sched());
-        assert!(!args(&["--sched", "off"]).sched());
-    }
-
-    #[test]
-    #[should_panic(expected = "expects on or off")]
-    fn bad_sched_value_panics() {
-        args(&["--sched", "maybe"]).sched();
     }
 
     #[test]

@@ -287,8 +287,7 @@ impl<T> FleetRun<T> {
              kernels: {} events / {} columns, {} exp(), cache {}h/{}m, {} shared, {:.1}ms in kernels; \
              leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes; \
              snapshots {}h/{}m ({} B), exp memo {}h/{}m; \
-             noise: {} draws / {} fills, {:.1}ms; \
-             sched: {} merge(s) / {} ticks overlapped / {} fallback(s)",
+             noise: {} draws / {} fills, {:.1}ms",
             self.tasks.len(),
             self.jobs,
             self.wall.as_secs_f64(),
@@ -315,9 +314,6 @@ impl<T> FleetRun<T> {
             perf.noise_draws,
             perf.noise_fills,
             perf.noise_ns as f64 / 1e6,
-            perf.sched_merges,
-            perf.sched_overlapped_ticks,
-            perf.sched_fallbacks,
         );
         if perf.fault_events() > 0 {
             s.push_str(&format!(
@@ -421,9 +417,6 @@ fn perf_json(p: &ModelPerf) -> Json {
         .field("exp_memo_misses", p.exp_memo_misses)
         .field("noise_draws", p.noise_draws)
         .field("noise_fills", p.noise_fills)
-        .field("sched_merges", p.sched_merges)
-        .field("sched_overlapped_ticks", p.sched_overlapped_ticks)
-        .field("sched_fallbacks", p.sched_fallbacks)
         .field("share_ns", p.share_ns)
         .field("sense_ns", p.sense_ns)
         .field("close_ns", p.close_ns)
@@ -953,9 +946,6 @@ mod tests {
                     decay_vec_hits: 4,
                     exp_batch_calls: 2,
                     exp_batch_lanes: 128,
-                    sched_merges: 3,
-                    sched_overlapped_ticks: 42,
-                    sched_fallbacks: 1,
                     ..ModelPerf::default()
                 },
                 ..RunMetrics::default()
@@ -1006,13 +996,6 @@ mod tests {
             )),
             "{summary}"
         );
-        assert!(
-            summary.contains(&format!(
-                "sched: {} merge(s) / {} ticks overlapped / {} fallback(s)",
-                total.sched_merges, total.sched_overlapped_ticks, total.sched_fallbacks
-            )),
-            "{summary}"
-        );
 
         let dir = std::env::temp_dir().join("fracdram_fleet_perf_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1038,12 +1021,6 @@ mod tests {
             format!("\"decay_vec_hits\":{}", total.decay_vec_hits),
             format!("\"exp_batch_calls\":{}", total.exp_batch_calls),
             format!("\"exp_batch_lanes\":{}", total.exp_batch_lanes),
-            format!("\"sched_merges\":{}", total.sched_merges),
-            format!(
-                "\"sched_overlapped_ticks\":{}",
-                total.sched_overlapped_ticks
-            ),
-            format!("\"sched_fallbacks\":{}", total.sched_fallbacks),
         ] {
             assert!(text.contains(&field), "{field} missing in {text}");
         }

@@ -66,18 +66,15 @@ const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 const FNV32_OFFSET: u32 = 0x811c_9dc5;
 const FNV32_PRIME: u32 = 0x0100_0193;
 
-/// FNV-1a64 over a byte slice (header checksum and whole-store digest).
+/// FNV-1a64 over a byte slice (header checksum, whole-store digest and
+/// the serve WAL's entry checksums).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV64_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV64_PRIME);
-    }
-    hash
+    fnv1a64_step(FNV64_OFFSET, bytes)
 }
 
-fn fnv1a64_step(hash: u64, bytes: &[u8]) -> u64 {
-    let mut hash = hash;
+/// Continues an FNV-1a64 hash from `hash` over `bytes` (streamed
+/// digests start from the offset basis).
+fn fnv1a64_step(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV64_PRIME);

@@ -205,12 +205,6 @@ impl Module {
         self.chips.iter().map(Chip::clone_cache).collect()
     }
 
-    /// Credits cross-bank scheduler activity (recorded onto chip 0, so
-    /// [`Module::model_perf`] roll-ups include it exactly once).
-    pub fn record_sched(&mut self, merges: u64, overlapped_ticks: u64, fallbacks: u64) {
-        self.chips[0].record_sched(merges, overlapped_ticks, fallbacks);
-    }
-
     /// Installs donated caches chip-by-chip (extra donations are
     /// dropped; chips past the donation keep their fresh cache). Each
     /// chip re-keys its donation to its own die seed, so a module

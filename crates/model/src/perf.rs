@@ -72,15 +72,6 @@ pub struct ModelPerf {
     /// Materialize buffers adopted warm from a previous task or shard
     /// generation (fleet/serve cache sharing).
     pub cache_share_hits: u64,
-    /// Cross-bank schedules built: batches of independent programs
-    /// merged into one interleaved command stream.
-    pub sched_merges: u64,
-    /// Idle ticks reclaimed by merged schedules (sequential minus
-    /// interleaved bus occupancy, summed over all merges).
-    pub sched_overlapped_ticks: u64,
-    /// Batches that fell back to sequential accounting (a shared bank
-    /// or a guarded vendor profile).
-    pub sched_fallbacks: u64,
 }
 
 impl ModelPerf {
@@ -115,9 +106,6 @@ impl ModelPerf {
         self.exp_batch_lanes += other.exp_batch_lanes;
         self.decay_vec_hits += other.decay_vec_hits;
         self.cache_share_hits += other.cache_share_hits;
-        self.sched_merges += other.sched_merges;
-        self.sched_overlapped_ticks += other.sched_overlapped_ticks;
-        self.sched_fallbacks += other.sched_fallbacks;
     }
 
     /// Total injected-fault events observed (all classes).
@@ -175,9 +163,6 @@ mod tests {
             exp_batch_lanes: 27,
             decay_vec_hits: 28,
             cache_share_hits: 29,
-            sched_merges: 30,
-            sched_overlapped_ticks: 31,
-            sched_fallbacks: 32,
         };
         let mut total = a;
         total.accumulate(&a);
@@ -200,9 +185,6 @@ mod tests {
         assert_eq!(total.exp_batch_lanes, 54);
         assert_eq!(total.decay_vec_hits, 56);
         assert_eq!(total.cache_share_hits, 58);
-        assert_eq!(total.sched_merges, 60);
-        assert_eq!(total.sched_overlapped_ticks, 62);
-        assert_eq!(total.sched_fallbacks, 64);
         assert_eq!(total.fault_events(), 2 * (21 + 22 + 23 + 24));
         assert_eq!(total.events(), 2 * (1 + 2 + 3 + 4));
         assert_eq!(total.kernel_ns(), 2 * (9 + 10 + 11 + 12));

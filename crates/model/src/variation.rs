@@ -28,14 +28,8 @@
 //! values never depend on draw *order*, snapshot restore is exact with
 //! zero stream bookkeeping and chips can be simulated in parallel.
 
-/// SplitMix64 finalizer; a strong 64-bit mixing function.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64 output mix; a strong 64-bit mixing function.
+pub use fracdram_stats::rng::splitmix64_mix as splitmix64;
 
 /// Hashes a slice of coordinate words into a single well-mixed 64-bit value.
 pub fn hash_coords(words: &[u64]) -> u64 {

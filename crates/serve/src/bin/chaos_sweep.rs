@@ -328,7 +328,7 @@ fn chaos_round(chaos_seed: u64, density: f64, dir: &Path) -> RoundReport {
         torn: first.torn,
         resends: driver.resends + driver2.resends,
         counters,
-        digest: wal::fnv1a64(sweep.as_bytes()),
+        digest: fracdram_experiments::store::fnv1a64(sweep.as_bytes()),
         recovery_ns,
     }
 }

@@ -72,11 +72,6 @@ fn main() {
                 "fault events before a die is auto-remapped (default 2048)",
             ),
             (
-                "sched",
-                "cross-die drain scheduling: on|off (default on; off restores \
-                 consecutive-only coalescing)",
-            ),
-            (
                 "record-requests",
                 "write the canonical request log here on shutdown",
             ),
@@ -167,7 +162,6 @@ fn main() {
         columns: args.usize("cols", defaults.columns),
         seed: args.u64("seed", defaults.seed),
         fault_limit: args.u64("fault-limit", defaults.fault_limit),
-        sched: args.str("sched").unwrap_or("on") != "off",
         breaker: BreakerConfig {
             trip: args.u64("breaker-trip", defaults.breaker.trip as u64) as u32,
             open: args.u64("breaker-open", defaults.breaker.open as u64) as u32,

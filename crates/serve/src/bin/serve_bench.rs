@@ -169,10 +169,6 @@ fn main() {
             ("cols", "embedded row width in bits (default 128)"),
             ("seed", "embedded pool seed (default 4070704035)"),
             (
-                "sched",
-                "embedded cross-die drain scheduling: on|off (default on)",
-            ),
-            (
                 "fault-die",
                 "die client 0 marks bad mid-run (default: none)",
             ),
@@ -209,7 +205,6 @@ fn main() {
         queue_depth: args.usize("queue-depth", defaults.queue_depth),
         columns: args.usize("cols", defaults.columns),
         seed: args.u64("seed", defaults.seed),
-        sched: args.str("sched").unwrap_or("on") != "off",
         wal_dir: args.str("wal-dir").map(std::path::PathBuf::from),
         ..defaults
     };
@@ -328,13 +323,7 @@ fn main() {
             .map(|(size, count)| format!("{size}x{count}"))
             .collect::<Vec<_>>()
             .join(" ");
-        println!(
-            "serve_bench: queue hwm {:?}  drains [{hist_str}]  sched {} merge(s) / {} tick(s) overlapped / {} fallback(s)",
-            hwms,
-            board.sched_merges.load(Ordering::Relaxed),
-            board.sched_overlapped_ticks.load(Ordering::Relaxed),
-            board.sched_fallbacks.load(Ordering::Relaxed),
-        );
+        println!("serve_bench: queue hwm {hwms:?}  drains [{hist_str}]");
         println!(
             "serve_bench: wal {} entr{} / {} sync(s) / {} byte(s) ({} recovered)  \
              breaker {} trip(s) / {} rejection(s) / {} probe(s) / {} close(s)",

@@ -60,25 +60,16 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use fracdram_experiments::store::fnv1a64;
+
+use crate::pool::ServeConfig;
+
 /// Fsyncs a directory so entries created (or renamed) inside it are
 /// durable. `sync_data` on a file makes its *bytes* durable; without
 /// this the directory entry itself can vanish across a power loss,
 /// taking the fully-fsynced log with it.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
-}
-
-use crate::pool::ServeConfig;
-
-/// FNV-1a 64-bit, the repo's standing cheap content hash (same family
-/// as `softmc::compiled::program_hash`).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One journaled request.

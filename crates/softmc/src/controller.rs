@@ -21,7 +21,6 @@ use crate::command::{CommandKind, DramCommand};
 use crate::compiled::{program_hash, CompiledProgram};
 use crate::error::{ControllerError, Result};
 use crate::program::Program;
-use crate::sched::{self, ScheduleEntry};
 use crate::timing::{check_program, TimingParams, TimingViolation};
 use crate::trace::{CommandTrace, CycleStats, TraceOp};
 
@@ -107,7 +106,6 @@ pub struct MemoryController {
     prefix_cache: bool,
     cycle_budget: Option<u64>,
     intra_jobs: usize,
-    sched: bool,
     read_pool: Vec<Vec<bool>>,
 }
 
@@ -127,23 +125,8 @@ impl MemoryController {
             prefix_cache: true,
             cycle_budget: None,
             intra_jobs: 1,
-            sched: true,
             read_pool: Vec::new(),
         }
-    }
-
-    /// Enables or disables the cross-bank scheduler (on by default).
-    /// Disabled, [`MemoryController::run_scheduled`] degrades to a
-    /// plain sequential `run` loop with no scheduler counters — the
-    /// `--sched off` escape hatch. Execution is byte-identical either
-    /// way (see `run_scheduled`); only the counters move.
-    pub fn set_sched(&mut self, enabled: bool) {
-        self.sched = enabled;
-    }
-
-    /// Whether the cross-bank scheduler is enabled.
-    pub fn sched_enabled(&self) -> bool {
-        self.sched
     }
 
     /// Whether prefix snapshot caching is enabled (shared toggle for
@@ -304,64 +287,6 @@ impl MemoryController {
             ));
         }
         self.run_compiled(&compiled)
-    }
-
-    /// Executes a batch of independent programs through the cross-bank
-    /// scheduler, demuxing one [`RunOutcome`] per program (input
-    /// order).
-    ///
-    /// The scheduler ([`crate::sched::merge`]) interleaves the batch
-    /// into one command stream — bank-disjoint programs fill each
-    /// other's tRCD/tRP idle ticks — and audits it against the JEDEC
-    /// table; `sched_merges` / `sched_overlapped_ticks` count the
-    /// reclaimed bus occupancy. Device execution then proceeds
-    /// per-bank: each program's commands run at their
-    /// sequential-equivalent issue cycles, which is byte-identical to
-    /// interleaved execution because banks share no state and every
-    /// analog draw is a pure function of its own bank's command times
-    /// (the same per-bank-independence argument `sched::audit`
-    /// verifies; see DESIGN.md). That is also what makes `--sched off`
-    /// and jobs-N replays byte-identical by construction.
-    ///
-    /// Falls back to a plain sequential loop (counting
-    /// `sched_fallbacks`) when the batch shares a bank, has fewer than
-    /// two programs, or the vendor profile has a command-timing guard
-    /// (guarded groups resolve their own effective times, so bus-level
-    /// overlap accounting would be fiction).
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`MemoryController::run`] on the first structurally
-    /// invalid program; earlier programs in the batch remain executed.
-    pub fn run_scheduled(&mut self, programs: &[Program]) -> Result<Vec<RunOutcome>> {
-        let compiled: Vec<Arc<CompiledProgram>> =
-            programs.iter().map(|p| self.compile_cached(p)).collect();
-        if self.sched && compiled.len() >= 2 {
-            if self.module.profile().timing_guard {
-                self.module.record_sched(0, 0, 1);
-            } else {
-                let entries: Vec<ScheduleEntry<'_>> = compiled
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| ScheduleEntry {
-                        space: 0,
-                        order: i as u64,
-                        program: c,
-                    })
-                    .collect();
-                match sched::merge(&entries) {
-                    Some(schedule) => {
-                        debug_assert!(
-                            sched::audit(&self.timing, &entries, &schedule).is_empty(),
-                            "scheduler produced a timing-violating interleave"
-                        );
-                        self.module.record_sched(1, schedule.overlapped_ticks(), 0);
-                    }
-                    None => self.module.record_sched(0, 0, 1),
-                }
-            }
-        }
-        compiled.iter().map(|c| self.run_compiled(c)).collect()
     }
 
     /// Accounts a program that was satisfied from a snapshot restore
@@ -1082,85 +1007,6 @@ mod tests {
         mc.read_row(RowAddr::new(0, 1)).unwrap();
         mc.write_row(RowAddr::new(0, 2), &[true; 64]).unwrap();
         assert_eq!(mc.compiled.len(), 2);
-    }
-
-    /// The tentpole equivalence claim: a scheduled batch produces the
-    /// same reads, clock, stats, and device state as running its
-    /// programs back to back — with or without `--sched` — while the
-    /// scheduler counters record the reclaimed bus occupancy.
-    #[test]
-    fn run_scheduled_matches_sequential_run() {
-        let prep = |mc: &mut MemoryController| {
-            mc.write_row(RowAddr::new(0, 1), &[true; 64]).unwrap();
-            mc.write_row(RowAddr::new(1, 2), &[false; 64]).unwrap();
-        };
-        let batch = |mc: &MemoryController| {
-            vec![
-                mc.read_row_program(RowAddr::new(0, 1)),
-                mc.read_row_program(RowAddr::new(1, 2)),
-                Program::builder()
-                    .act(RowAddr::new(0, 1))
-                    .pre(0)
-                    .delay(5)
-                    .build(),
-            ]
-        };
-
-        let mut scheduled = controller(GroupId::B);
-        let mut sequential = controller(GroupId::B);
-        let mut disabled = controller(GroupId::B);
-        disabled.set_sched(false);
-        assert!(!disabled.sched_enabled());
-        for mc in [&mut scheduled, &mut sequential, &mut disabled] {
-            prep(mc);
-        }
-
-        // Banks 0 and 1 are disjoint across the first two programs, but
-        // program 3 shares bank 0 with program 1 → that batch must fall
-        // back. Split so both paths are exercised.
-        let programs = batch(&scheduled);
-        let sched_out = scheduled.run_scheduled(&programs[..2]).unwrap();
-        let sched_rest = scheduled.run_scheduled(&programs).unwrap();
-        let mut seq_out = Vec::new();
-        for p in &programs[..2] {
-            seq_out.push(sequential.run(p).unwrap());
-        }
-        let mut seq_rest = Vec::new();
-        for p in &programs {
-            seq_rest.push(sequential.run(p).unwrap());
-        }
-        let dis_out = disabled.run_scheduled(&programs[..2]).unwrap();
-        let dis_rest = disabled.run_scheduled(&programs).unwrap();
-
-        assert_eq!(sched_out, seq_out);
-        assert_eq!(sched_rest, seq_rest);
-        assert_eq!(dis_out, seq_out);
-        assert_eq!(dis_rest, seq_rest);
-        assert_eq!(scheduled.clock(), sequential.clock());
-        assert_eq!(scheduled.clock(), disabled.clock());
-        assert_eq!(scheduled.stats(), sequential.stats());
-
-        let p = scheduled.model_perf();
-        assert_eq!(p.sched_merges, 1, "first batch merges");
-        assert!(p.sched_overlapped_ticks > 0);
-        assert_eq!(p.sched_fallbacks, 1, "second batch shares bank 0");
-        let d = disabled.model_perf();
-        assert_eq!((d.sched_merges, d.sched_fallbacks), (0, 0));
-    }
-
-    #[test]
-    fn run_scheduled_falls_back_on_guarded_groups() {
-        let mut mc = controller(GroupId::J);
-        mc.write_row(RowAddr::new(0, 1), &[true; 64]).unwrap();
-        mc.write_row(RowAddr::new(1, 1), &[true; 64]).unwrap();
-        let programs = vec![
-            mc.read_row_program(RowAddr::new(0, 1)),
-            mc.read_row_program(RowAddr::new(1, 1)),
-        ];
-        mc.run_scheduled(&programs).unwrap();
-        let p = mc.model_perf();
-        assert_eq!(p.sched_merges, 0);
-        assert_eq!(p.sched_fallbacks, 1);
     }
 
     #[test]

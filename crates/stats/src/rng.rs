@@ -8,16 +8,25 @@
 //! from Blackman & Vigna — implemented here so the workspace carries no
 //! external dependency.
 
+/// The SplitMix64 output function of state `z`: adds the golden-ratio
+/// gamma, then applies the finalizer. A pure, strong 64-bit mixing
+/// function — the one SplitMix64 mix every crate hashes with.
+#[inline]
+pub fn splitmix64_mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// One SplitMix64 step: advances `state` and returns the next output.
 ///
 /// Used both as the seeding PRNG for [`Rng`] and as a mixing function
 /// for deriving per-task seeds from a base seed plus task coordinates.
 pub fn splitmix64(state: &mut u64) -> u64 {
+    let out = splitmix64_mix(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    out
 }
 
 /// Mixes a base seed with a sequence of coordinates into one derived

@@ -17,6 +17,8 @@
 
 use std::sync::OnceLock;
 
+use crate::rng::splitmix64_mix;
+
 /// Number of ziggurat layers. 128 layers keep both tables in two
 /// cache lines' worth of f64s while pushing the common-path accept
 /// rate past 98%.
@@ -116,26 +118,17 @@ pub const KEYED_LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Per-extra-word multiplier of the canonical counter-keyed stream.
 pub const KEYED_EXTRA_MUL: u64 = 0xD134_2543_DE82_EF95;
 
-/// SplitMix64 finalizer (pure form).
-#[inline]
-fn splitmix_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// First word of lane `lane`'s canonical counter-keyed stream anchored
 /// at `base`.
 #[inline]
 pub fn keyed_word0(base: u64, lane: u64) -> u64 {
-    splitmix_mix(base ^ lane.wrapping_mul(KEYED_LANE_MUL))
+    splitmix64_mix(base ^ lane.wrapping_mul(KEYED_LANE_MUL))
 }
 
 /// Word `k + 1` (`k ≥ 1`) of a stream whose first word was `w0`.
 #[inline]
 pub fn keyed_extra(w0: u64, k: u64) -> u64 {
-    splitmix_mix(w0 ^ k.wrapping_mul(KEYED_EXTRA_MUL))
+    splitmix64_mix(w0 ^ k.wrapping_mul(KEYED_EXTRA_MUL))
 }
 
 /// One standard-normal draw of lane `lane` of the canonical
