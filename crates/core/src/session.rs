@@ -9,15 +9,16 @@
 //! and any operation that re-senses a fractional row clears its marker
 //! — fractional values are destroyed by any row activation.
 //!
-//! [`TrialRunner`] is the repeated-trial harness: the paper's stability
-//! and coverage measurements run the same operand-write prefix thousands
-//! of times per cell, which the controller serves from its write-prefix
-//! snapshot cache; the runner scopes those trials and reports how much
-//! of the prefix work was restored rather than replayed.
+//! [`RowArena`] is the row-buffer pool of the repeated-trial loops: the
+//! paper's stability and coverage measurements run the same
+//! operand-write prefix thousands of times per cell (the controller
+//! serves it from its write-prefix snapshot cache), and the arena lets
+//! those loops recycle their full-width rows instead of allocating per
+//! trial.
 
 use std::collections::BTreeSet;
 
-use fracdram_model::{Cycles, Geometry, GroupId, ModelPerf, Module, RowAddr, Seconds};
+use fracdram_model::{Cycles, Geometry, GroupId, Module, RowAddr, Seconds};
 use fracdram_softmc::MemoryController;
 use fracdram_stats::bits::BitVec;
 
@@ -302,17 +303,6 @@ impl From<Module> for FracDram {
     }
 }
 
-/// Write-prefix cache activity within one [`TrialRunner`] scope.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefixStats {
-    /// Full-row writes served by restoring a snapshot.
-    pub hits: u64,
-    /// Full-row writes that replayed live and (re)captured.
-    pub misses: u64,
-    /// Bytes captured by the misses.
-    pub bytes: u64,
-}
-
 /// A pool of reusable full-width row buffers for trial hot loops.
 ///
 /// Measurement bodies take buffers at the top of a trial and give them
@@ -360,77 +350,6 @@ impl RowArena {
         if self.free.len() < ARENA_CAP {
             self.free.push(row);
         }
-    }
-}
-
-/// Scopes a repeated-trial measurement over one controller.
-///
-/// Each trial re-runs a shared init/write prefix (operand rows,
-/// patterns) before the one command sequence that varies; the
-/// controller executes that prefix once per (bank, row, environment),
-/// snapshots the sub-array state it leaves, and restores per trial.
-/// The runner itself only sequences the trials and deltas the snapshot
-/// counters, so a body observes exactly the controller it would have
-/// been handed in a hand-written loop. Restores are exact by
-/// construction: temporal noise is keyed by each event's absolute fire
-/// time and coordinates, never by draw order, so a restored trial sees
-/// the same noise a live replay would.
-#[derive(Debug)]
-pub struct TrialRunner<'a> {
-    mc: &'a mut MemoryController,
-    baseline: ModelPerf,
-}
-
-impl<'a> TrialRunner<'a> {
-    /// Starts a trial scope on `mc`.
-    pub fn new(mc: &'a mut MemoryController) -> Self {
-        let baseline = mc.model_perf();
-        TrialRunner { mc, baseline }
-    }
-
-    /// Runs `trials` invocations of `body`, collecting the results in
-    /// trial order.
-    pub fn run<T>(
-        &mut self,
-        trials: usize,
-        mut body: impl FnMut(&mut MemoryController, usize) -> T,
-    ) -> Vec<T> {
-        (0..trials).map(|i| body(self.mc, i)).collect()
-    }
-
-    /// Like [`TrialRunner::run`], but leases a [`RowArena`] sized to the
-    /// module row to the body so trial hot loops recycle their row
-    /// buffers instead of allocating per trial. The arena persists
-    /// across all trials of the scope.
-    pub fn run_arena<T>(
-        &mut self,
-        trials: usize,
-        mut body: impl FnMut(&mut MemoryController, &mut RowArena, usize) -> T,
-    ) -> Vec<T> {
-        let mut arena = RowArena::new(self.mc.module().row_bits());
-        (0..trials).map(|i| body(self.mc, &mut arena, i)).collect()
-    }
-
-    /// The controller under measurement.
-    pub fn controller(&mut self) -> &mut MemoryController {
-        self.mc
-    }
-
-    /// Snapshot-cache activity since the scope opened.
-    pub fn prefix_stats(&self) -> PrefixStats {
-        let now = self.mc.model_perf();
-        PrefixStats {
-            hits: now.snapshot_hits - self.baseline.snapshot_hits,
-            misses: now.snapshot_misses - self.baseline.snapshot_misses,
-            bytes: now.snapshot_bytes - self.baseline.snapshot_bytes,
-        }
-    }
-
-    /// Injected-fault events observed since the scope opened — lets a
-    /// measurement attribute instability to the fault plan rather than
-    /// process variation.
-    pub fn fault_events(&self) -> u64 {
-        self.mc.model_perf().fault_events() - self.baseline.fault_events()
     }
 }
 
@@ -540,30 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn trial_runner_reports_prefix_hits() {
-        let mut mc = MemoryController::new(Module::new(ModuleConfig::single_chip(
-            GroupId::B,
-            1,
-            Geometry::tiny(),
-        )));
-        let row = RowAddr::new(0, 2);
-        let mut runner = TrialRunner::new(&mut mc);
-        let reads = runner.run(5, |mc, i| {
-            let pattern = vec![i % 2 == 0; 64];
-            mc.write_row(row, &pattern).unwrap();
-            mc.read_row(row).unwrap()
-        });
-        assert_eq!(reads.len(), 5);
-        for (i, bits) in reads.iter().enumerate() {
-            assert_eq!(bits, &vec![i % 2 == 0; 64]);
-        }
-        let stats = runner.prefix_stats();
-        assert_eq!(stats.misses, 1, "one live capture");
-        assert_eq!(stats.hits, 4, "remaining trials restored");
-        assert!(stats.bytes > 0);
-    }
-
-    #[test]
     fn session_surfaces_fault_events() {
         let mut s = session();
         assert_eq!(s.fault_events(), 0, "injection disarmed by default");
@@ -575,16 +470,6 @@ mod tests {
         s.write_row(row, &[true; 64]).unwrap();
         s.read_row(row).unwrap();
         assert!(s.fault_events() > 0, "stuck cells pin on every event");
-        // A trial scope deltas the counter from its own baseline.
-        let before = s.fault_events();
-        let mut runner = TrialRunner::new(s.controller_mut());
-        runner.run(2, |mc, _| {
-            mc.write_row(row, &[false; 64]).unwrap();
-            mc.read_row(row).unwrap()
-        });
-        let scoped = runner.fault_events();
-        assert!(scoped > 0);
-        assert_eq!(s.fault_events(), before + scoped);
     }
 
     #[test]

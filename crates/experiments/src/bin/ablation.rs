@@ -21,7 +21,7 @@ use fracdram::fmaj::{fmaj_coverage, FmajConfig};
 use fracdram::maj3::maj3_coverage;
 use fracdram::puf::{evaluate, Challenge};
 use fracdram::rowsets::{Quad, Triplet};
-use fracdram_experiments::{fleet, render, setup, tasks, Args, Json, TaskKey};
+use fracdram_experiments::{fleet, render, tasks, Args, Json, TaskKey};
 use fracdram_model::{DeviceParams, Geometry, GroupId, Module, ModuleConfig, SubarrayAddr, Volts};
 use fracdram_softmc::MemoryController;
 use fracdram_stats::hamming::normalized_distance;
@@ -37,15 +37,13 @@ fn geometry() -> Geometry {
 }
 
 fn controller_with(group: GroupId, seed: u64, params: DeviceParams) -> MemoryController {
-    let mut mc = MemoryController::new(Module::new(ModuleConfig {
+    MemoryController::new(Module::new(ModuleConfig {
         group,
         seed,
         geometry: geometry(),
         chips: 1,
         params,
-    }));
-    mc.set_intra_jobs(setup::intra_jobs());
-    mc
+    }))
 }
 
 fn main() {
@@ -56,7 +54,6 @@ fn main() {
         &[
             ("seed", "base die seed (default 15)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -66,7 +63,6 @@ fn main() {
         return;
     }
     let seed = args.u64("seed", 15);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -137,7 +137,6 @@ fn main() {
             ("puf-repeats", "PUF evaluation pairs per point (default 4)"),
             ("seed", "die seed (default 21)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -149,7 +148,6 @@ fn main() {
     let trials = args.usize("trials", 8);
     let puf_repeats = args.usize("puf-repeats", 4);
     let seed = args.u64("seed", 21);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

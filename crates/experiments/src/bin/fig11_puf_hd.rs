@@ -43,7 +43,6 @@ fn main() {
             ("chips", "chips per module (default 1; paper rank: 8)"),
             ("seed", "base seed (default 11)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -57,7 +56,6 @@ fn main() {
     let cols = args.usize("cols", 1024);
     let chips = args.usize("chips", 1);
     let seed = args.u64("seed", 11);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -19,15 +19,11 @@ fn main() {
     if args.usage(
         "fig4_halfm_trace",
         "reproduce Fig. 4: cell voltages during Half-m (weak 1 / weak 0 / Half)",
-        &[
-            ("seed", "die seed (default 4)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
-        ],
+        &[("seed", "die seed (default 4)")],
     ) {
         return;
     }
     let seed = args.u64("seed", 4);
-    setup::set_intra_jobs(args.intra_jobs());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

@@ -37,7 +37,6 @@ fn main() {
             ),
             ("seed", "base die seed (default 6)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -49,7 +48,6 @@ fn main() {
     let rows = args.usize("rows", 2);
     let votes = args.usize("votes", 3);
     let seed = args.u64("seed", 6);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

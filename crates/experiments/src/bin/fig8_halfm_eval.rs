@@ -135,7 +135,6 @@ fn main() {
             ),
             ("seed", "die seed (default 8)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -146,7 +145,6 @@ fn main() {
     }
     let subarrays = args.usize("subarrays", 4);
     let seed = args.u64("seed", 8);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -52,7 +52,6 @@ fn main() {
             ("maxfrac", "largest Frac count swept (default 5)"),
             ("seed", "base die seed (default 9)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -65,7 +64,6 @@ fn main() {
     let subarrays = args.usize("subarrays", 2);
     let max_frac = args.usize("maxfrac", 5);
     let seed = args.u64("seed", 9);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -26,15 +26,11 @@ fn main() {
     if args.usage(
         "overhead",
         "cycle accounting for every primitive + F-MAJ overhead + PUF eval time",
-        &[
-            ("seed", "die seed (default 14)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
-        ],
+        &[("seed", "die seed (default 14)")],
     ) {
         return;
     }
     let seed = args.u64("seed", 14);
-    setup::set_intra_jobs(args.intra_jobs());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

@@ -26,7 +26,7 @@ use std::time::Instant;
 use fracdram_experiments::fleet::{item_seed, run_stream, StreamConfig};
 use fracdram_experiments::population as pop;
 use fracdram_experiments::store::{StoreHeader, StoreReader, StoreWriter, RECORD_LEN};
-use fracdram_experiments::{render, setup, Args, Json};
+use fracdram_experiments::{render, Args, Json};
 use fracdram_model::GroupId;
 
 /// Enrollment populations for the sizing table.
@@ -54,7 +54,6 @@ fn main() {
             ("dies", "dies to stream (k/M/G suffixes; default 2400)"),
             ("chunk", "dies per chunk (default 600)"),
             ("jobs", "worker threads (default: all cores)"),
-            ("intra-jobs", "chip threads per module (default 1)"),
             ("seed", "base seed (default 42)"),
             ("sample", "fingerprint reservoir capacity (default 256)"),
             ("store", "write the binary result store to this path"),
@@ -70,7 +69,6 @@ fn main() {
     let chunk = args.u64("chunk", 600);
     let jobs = args.jobs();
     let sample = args.usize("sample", 256);
-    setup::set_intra_jobs(args.intra_jobs());
     let store_arg = args.str("store").map(PathBuf::from);
     let replay_arg = args.str("replay").map(PathBuf::from);
     let json_path = args.json_path().map(String::from);

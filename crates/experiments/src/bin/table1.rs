@@ -22,7 +22,6 @@ fn main() {
             ("modules", "modules surveyed per group (default 1)"),
             ("seed", "base die seed (default 1)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -33,7 +32,6 @@ fn main() {
     }
     let modules = args.usize("modules", 1);
     let seed = args.u64("seed", 1);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -111,7 +111,7 @@ impl Args {
 
     /// Fails the process (exit status 2, help text on stderr) when any
     /// argument was never read — call this after the binary has pulled
-    /// all its parameters. Without it, `--intrajobs 4` would silently
+    /// all its parameters. Without it, `--trails 4` would silently
     /// run the default config.
     pub fn reject_unknown(&self) {
         let unknown = self.unknown_keys();
@@ -189,20 +189,6 @@ impl Args {
                 .unwrap_or(1),
         );
         assert!(jobs > 0, "--jobs must be at least 1");
-        jobs
-    }
-
-    /// Intra-module worker count: `--intra-jobs N` (default 1). With a
-    /// multi-chip module, each controller executes its chips on `N`
-    /// parallel threads — byte-identical output, composing with the
-    /// fleet's `--jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse or is zero.
-    pub fn intra_jobs(&self) -> usize {
-        let jobs = self.usize("intra-jobs", 1);
-        assert!(jobs > 0, "--intra-jobs must be at least 1");
         jobs
     }
 

@@ -286,7 +286,7 @@ impl<T> FleetRun<T> {
             "fleet: {} task(s) on {} thread(s) in {:.3}s — {} DRAM commands ({} ACT, {} RD, {} WR); \
              kernels: {} events / {} columns, {} exp(), cache {}h/{}m, {} shared, {:.1}ms in kernels; \
              leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes; \
-             snapshots {}h/{}m ({} B), exp memo {}h/{}m; \
+             snapshots {}h/{}m ({} B); \
              noise: {} draws / {} fills, {:.1}ms",
             self.tasks.len(),
             self.jobs,
@@ -309,8 +309,6 @@ impl<T> FleetRun<T> {
             perf.snapshot_hits,
             perf.snapshot_misses,
             perf.snapshot_bytes,
-            perf.exp_memo_hits,
-            perf.exp_memo_misses,
             perf.noise_draws,
             perf.noise_fills,
             perf.noise_ns as f64 / 1e6,
@@ -413,8 +411,6 @@ fn perf_json(p: &ModelPerf) -> Json {
         .field("snapshot_hits", p.snapshot_hits)
         .field("snapshot_misses", p.snapshot_misses)
         .field("snapshot_bytes", p.snapshot_bytes)
-        .field("exp_memo_hits", p.exp_memo_hits)
-        .field("exp_memo_misses", p.exp_memo_misses)
         .field("noise_draws", p.noise_draws)
         .field("noise_fills", p.noise_fills)
         .field("share_ns", p.share_ns)
@@ -936,8 +932,6 @@ mod tests {
                     snapshot_hits: 4,
                     snapshot_misses: 2,
                     snapshot_bytes: 1024,
-                    exp_memo_hits: 7,
-                    exp_memo_misses: 3,
                     noise_draws: 96,
                     noise_fills: 6,
                     noise_ns: 1_500_000,
@@ -965,13 +959,6 @@ mod tests {
             summary.contains(&format!(
                 "snapshots {}h/{}m ({} B)",
                 total.snapshot_hits, total.snapshot_misses, total.snapshot_bytes
-            )),
-            "{summary}"
-        );
-        assert!(
-            summary.contains(&format!(
-                "exp memo {}h/{}m",
-                total.exp_memo_hits, total.exp_memo_misses
             )),
             "{summary}"
         );
@@ -1012,8 +999,6 @@ mod tests {
             format!("\"snapshot_hits\":{}", total.snapshot_hits),
             format!("\"snapshot_misses\":{}", total.snapshot_misses),
             format!("\"snapshot_bytes\":{}", total.snapshot_bytes),
-            format!("\"exp_memo_hits\":{}", total.exp_memo_hits),
-            format!("\"exp_memo_misses\":{}", total.exp_memo_misses),
             format!("\"noise_draws\":{}", total.noise_draws),
             format!("\"noise_fills\":{}", total.noise_fills),
             format!("\"cache_share_hits\":{}", total.cache_share_hits),

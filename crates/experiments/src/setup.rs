@@ -1,27 +1,9 @@
 //! Standard module setups for the experiments.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fracdram_model::{DeviceParams, Geometry, GroupId, MaterializeCache, Module, ModuleConfig};
 use fracdram_softmc::MemoryController;
-
-/// Process-wide intra-module worker count (the `--intra-jobs` flag),
-/// inherited by every controller built through this module.
-static INTRA_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the intra-module worker count every subsequently built
-/// controller inherits. Composes with the fleet's `--jobs`: the fleet
-/// parallelizes across tasks, this parallelizes across the chips of
-/// each task's module. Output stays byte-identical for any value.
-pub fn set_intra_jobs(jobs: usize) {
-    INTRA_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide intra-module worker count.
-pub fn intra_jobs() -> usize {
-    INTRA_JOBS.load(Ordering::Relaxed)
-}
 
 thread_local! {
     /// Per-worker materialize-cache pool. `None` (the default) disables
@@ -95,27 +77,20 @@ pub fn puf_geometry(columns: usize) -> Geometry {
 
 /// A single-chip module of `group` under test, with a distinct die seed.
 pub fn controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryController {
-    // Mix the group into the seed so "module 0 of group A" and "module 0
-    // of group B" are distinct dies.
-    let die = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(group as u64 + 1);
-    let mut mc =
-        MemoryController::new(Module::new(ModuleConfig::single_chip(group, die, geometry)));
-    mc.set_intra_jobs(intra_jobs());
-    adopt_pooled_caches(&mut mc);
-    mc
+    chips_controller(group, geometry, seed, 1)
 }
 
-/// A module of `group` with an explicit chip count (1 reproduces
+/// A module of `group` with an explicit chip count (1 is
 /// [`controller`]; 8 is a realistic rank) — the PUF experiments'
-/// `--chips` flag, and the shape `--intra-jobs` parallelizes over.
+/// `--chips` flag.
 pub fn chips_controller(
     group: GroupId,
     geometry: Geometry,
     seed: u64,
     chips: usize,
 ) -> MemoryController {
+    // Mix the group into the seed so "module 0 of group A" and "module 0
+    // of group B" are distinct dies.
     let die = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(group as u64 + 1);
@@ -126,19 +101,6 @@ pub fn chips_controller(
         chips,
         params: DeviceParams::default(),
     }));
-    mc.set_intra_jobs(intra_jobs());
-    adopt_pooled_caches(&mut mc);
-    mc
-}
-
-/// A multi-chip (rank) module — used by the PUF experiments when paper
-/// scale is requested.
-pub fn rank_controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryController {
-    let die = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(group as u64 + 1);
-    let mut mc = MemoryController::new(Module::new(ModuleConfig::rank(group, die, geometry)));
-    mc.set_intra_jobs(intra_jobs());
     adopt_pooled_caches(&mut mc);
     mc
 }
@@ -196,7 +158,7 @@ mod tests {
     fn geometries_have_expected_shape() {
         assert_eq!(compute_geometry().rows_per_subarray, 32);
         assert_eq!(puf_geometry(1024).columns, 1024);
-        let r = rank_controller(GroupId::B, puf_geometry(64), 3);
+        let r = chips_controller(GroupId::B, puf_geometry(64), 3, 8);
         assert_eq!(r.module().chips().len(), 8);
     }
 }

@@ -8,7 +8,7 @@
 use fracdram::fmaj::{FmajConfig, FmajPlan};
 use fracdram::maj3::Maj3Plan;
 use fracdram::rowsets::{Quad, Triplet};
-use fracdram::session::TrialRunner;
+use fracdram::session::RowArena;
 use fracdram_softmc::MemoryController;
 use fracdram_stats::rng::Rng;
 
@@ -39,8 +39,8 @@ pub fn stability_fmaj(
     let width = mc.module().row_bits();
     let mut correct = vec![0usize; width];
     let plan = FmajPlan::new(mc, quad, config).expect("fmaj plan");
-    let mut runner = TrialRunner::new(mc);
-    runner.run_arena(trials, |mc, arena, _| {
+    let mut arena = RowArena::new(width);
+    for _ in 0..trials {
         let mut operands = [arena.take(), arena.take(), arena.take()];
         fill_operands(rng, &mut operands);
         let [a, b, c] = &operands;
@@ -51,7 +51,7 @@ pub fn stability_fmaj(
         arena.give(a);
         arena.give(b);
         arena.give(c);
-    });
+    }
     rates(correct, trials)
 }
 
@@ -70,8 +70,8 @@ pub fn stability_maj3(
     let width = mc.module().row_bits();
     let mut correct = vec![0usize; width];
     let plan = Maj3Plan::new(mc, triplet).expect("maj3 plan");
-    let mut runner = TrialRunner::new(mc);
-    runner.run_arena(trials, |mc, arena, _| {
+    let mut arena = RowArena::new(width);
+    for _ in 0..trials {
         let mut operands = [arena.take(), arena.take(), arena.take()];
         fill_operands(rng, &mut operands);
         let [a, b, c] = &operands;
@@ -82,7 +82,7 @@ pub fn stability_maj3(
         arena.give(a);
         arena.give(b);
         arena.give(c);
-    });
+    }
     rates(correct, trials)
 }
 

@@ -120,24 +120,9 @@ impl Chip {
     /// leaving a fresh one behind. When a fault plan is armed the
     /// seed-keyed buffers are dropped first — they fold the plan's
     /// stuck/weak-cell statics, which the seed alone does not identify —
-    /// so a donation only ever carries pure-seed buffers plus the
-    /// always-valid `exp()` memo.
+    /// so a donation only ever carries pure-seed buffers.
     pub fn take_cache(&mut self) -> MaterializeCache {
         let mut cache = std::mem::replace(&mut self.cache, MaterializeCache::new(self.config.seed));
-        if self.silicon.faults().is_some() {
-            cache.clear_buffers();
-        }
-        cache.stamp_donor(self.config.clone());
-        cache
-    }
-
-    /// A donation-stamped copy of the materialize cache, leaving this
-    /// chip's own cache in place — how a *live* die seeds a sibling
-    /// (serve first-touch sharing) without giving its cache up. Same
-    /// fault rule as [`Chip::take_cache`]: an armed plan's buffers fold
-    /// statics the seed alone does not identify, so they are dropped.
-    pub fn clone_cache(&self) -> MaterializeCache {
-        let mut cache = self.cache.clone();
         if self.silicon.faults().is_some() {
             cache.clear_buffers();
         }
@@ -150,9 +135,7 @@ impl Chip {
     /// very die — identical full configuration (group, seed, geometry,
     /// analog parameters), since the buffers are pure in all of it — and
     /// no fault plan is armed here; the number of buffers retained is
-    /// credited to [`ModelPerf::cache_share_hits`]. The donated `exp()`
-    /// memo is pure math and is kept either way, which is what makes
-    /// cross-die donation (serve die remaps) still worthwhile.
+    /// credited to [`ModelPerf::cache_share_hits`].
     pub fn install_cache(&mut self, mut cache: MaterializeCache) {
         if self.silicon.faults().is_some() || !cache.donor_is(&self.config) {
             cache.clear_buffers();

@@ -25,106 +25,16 @@
 //! leak across chips. Experiment stdout is byte-identical with or
 //! without the cache; only wall time changes.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::chip::ChipConfig;
 use crate::env::Environment;
 use crate::perf::ModelPerf;
 use crate::silicon::Silicon;
-use crate::variation::splitmix64;
-
-/// Memoized `exp()` entries are evicted wholesale past this size; big
-/// retention sweeps generate unbounded distinct exponent arguments.
-const EXP_MEMO_CAP: usize = 1 << 20;
-
-/// Initial exp-memo table size (slots). Grows by 4× as it fills so idle
-/// chips pay kilobytes, not megabytes.
-const EXP_MEMO_INITIAL: usize = 1 << 10;
 
 /// Cached decay-factor vectors are evicted wholesale past this count;
 /// each entry is one row's worth of `f64`s for one `(dt, scale)` pair.
 const DECAY_VEC_CAP: usize = 512;
-
-/// Flat open-addressing `exp()` memo.
-///
-/// The key is the argument's exact bit pattern; key `0` (the bits of
-/// `+0.0`) doubles as the empty-slot sentinel, and `exp(+0) = 1` is
-/// answered without touching the table. A SplitMix finish spreads
-/// mantissa-adjacent keys; linear probing keeps a lookup to one or two
-/// adjacent cache lines — the `HashMap` this replaces spent more time
-/// hashing and chasing its control bytes than the `exp()` it saved.
-#[derive(Debug, Clone)]
-struct ExpMemo {
-    keys: Box<[u64]>,
-    vals: Box<[f64]>,
-    filled: usize,
-}
-
-impl Default for ExpMemo {
-    fn default() -> Self {
-        ExpMemo {
-            keys: vec![0u64; EXP_MEMO_INITIAL].into(),
-            vals: vec![0f64; EXP_MEMO_INITIAL].into(),
-            filled: 0,
-        }
-    }
-}
-
-impl ExpMemo {
-    /// Looks up `exp` of the argument with bits `key`, computing and
-    /// inserting on miss. Returns `(value, was_hit)`.
-    fn probe(&mut self, key: u64) -> (f64, bool) {
-        debug_assert_ne!(key, 0, "+0.0 is answered before the table");
-        let mask = self.keys.len() - 1;
-        let mut slot = (splitmix64(key) as usize) & mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return (self.vals[slot], true);
-            }
-            if k == 0 {
-                let v = f64::from_bits(key).exp();
-                self.keys[slot] = key;
-                self.vals[slot] = v;
-                self.filled += 1;
-                if self.filled * 4 >= self.keys.len() * 3 {
-                    self.grow_or_clear();
-                }
-                return (v, false);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Quadruples the table (rehashing every entry), or clears it
-    /// wholesale once it has reached the retention cap — the same
-    /// eviction policy the map it replaced used. Either way the memo
-    /// only ever returns `x.exp()` bits, so eviction timing cannot
-    /// change a simulated value.
-    fn grow_or_clear(&mut self) {
-        if self.keys.len() >= EXP_MEMO_CAP {
-            self.keys.fill(0);
-            self.filled = 0;
-            return;
-        }
-        let new_len = self.keys.len() * 4;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0u64; new_len].into());
-        let old_vals = std::mem::replace(&mut self.vals, vec![0f64; new_len].into());
-        let mask = self.keys.len() - 1;
-        for (&k, &v) in old_keys.iter().zip(old_vals.iter()) {
-            if k == 0 {
-                continue;
-            }
-            let mut slot = (splitmix64(k) as usize) & mask;
-            while self.keys[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = k;
-            self.vals[slot] = v;
-        }
-    }
-}
 
 /// Materialized sense thresholds of one sub-array, tagged with the
 /// environment they were computed under.
@@ -185,10 +95,6 @@ pub struct MaterializeCache {
     /// Decay-factor vectors: `exp(-dt / (tau20[col] * scale))` per
     /// column.
     decay: HashMap<DecayKey, Box<[f64]>>,
-    /// `exp(x)` keyed by `x.to_bits()`. Pure math — seed-independent, so
-    /// `sync_seed` leaves it alone. Interior mutability lets the leakage
-    /// kernel probe it while holding the row-statics borrow.
-    exp_memo: RefCell<ExpMemo>,
     /// Full identity of the chip that donated this cache (stamped by
     /// `Chip::take_cache`). The buffers are pure in the *whole* chip
     /// configuration — group profile, analog parameters, and geometry,
@@ -207,27 +113,6 @@ impl MaterializeCache {
         }
     }
 
-    /// Memoized `x.exp()`, keyed by the exact bit pattern of `x` —
-    /// bit-identical to calling `exp` directly, with a counter-visible
-    /// hit rate. The leakage kernel's exponent arguments repeat exactly
-    /// across trials (same `dt`, same materialized `tau`), so the table
-    /// converts its dominant cost into a flat-table probe.
-    #[inline]
-    pub fn exp(&self, perf: &mut ModelPerf, x: f64) -> f64 {
-        if x == 0.0 && x.is_sign_positive() {
-            // `+0.0` has bit pattern 0, the table's empty sentinel.
-            perf.exp_memo_hits += 1;
-            return 1.0;
-        }
-        let (v, hit) = self.exp_memo.borrow_mut().probe(x.to_bits());
-        if hit {
-            perf.exp_memo_hits += 1;
-        } else {
-            perf.exp_memo_misses += 1;
-        }
-        v
-    }
-
     /// The seed the cached buffers were built from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -237,7 +122,7 @@ impl MaterializeCache {
     /// Returns the number of materialized buffers retained — nonzero
     /// only when the new owner shares the previous owner's die seed, in
     /// which case every buffer is reusable as-is (they are pure in the
-    /// seed). This is the fleet/serve cache-sharing entry point: callers
+    /// seed). This is the fleet cache-sharing entry point: callers
     /// credit the return value to [`ModelPerf::cache_share_hits`].
     pub fn adopt(&mut self, seed: u64) -> u64 {
         if seed != self.seed {
@@ -265,8 +150,7 @@ impl MaterializeCache {
         self.donor.as_ref() == Some(config)
     }
 
-    /// Drops every seed-keyed buffer, keeping the pure-math `exp()`
-    /// memo (which is valid for any die). Used when a donated cache
+    /// Drops every seed-keyed buffer. Used when a donated cache
     /// crosses a boundary the seed key alone cannot express — a chip
     /// with a fault plan armed, whose stuck/weak-cell statics fold the
     /// plan into the materialized buffers.
@@ -684,21 +568,6 @@ mod tests {
         cache.ensure_cols(&s, &mut perf, 0, 0, COLS);
         cache.ensure_cols(&s, &mut perf, 0, 0, COLS);
         assert_eq!((perf.cache_misses, perf.cache_hits), (3, 2));
-    }
-
-    #[test]
-    fn exp_memo_is_bit_identical_and_counted() {
-        let mut perf = ModelPerf::default();
-        let cache = MaterializeCache::new(1);
-        let xs = [-0.125, -3.5e-4, 0.75, -88.0, 1e-9];
-        for &x in &xs {
-            assert_eq!(cache.exp(&mut perf, x).to_bits(), x.exp().to_bits());
-        }
-        assert_eq!((perf.exp_memo_misses, perf.exp_memo_hits), (5, 0));
-        for &x in &xs {
-            assert_eq!(cache.exp(&mut perf, x).to_bits(), x.exp().to_bits());
-        }
-        assert_eq!((perf.exp_memo_misses, perf.exp_memo_hits), (5, 5));
     }
 
     #[test]

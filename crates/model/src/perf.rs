@@ -48,10 +48,6 @@ pub struct ModelPerf {
     pub snapshot_misses: u64,
     /// Bytes of sub-array state captured into snapshots.
     pub snapshot_bytes: u64,
-    /// `exp()` evaluations served from the memo table.
-    pub exp_memo_hits: u64,
-    /// `exp()` evaluations computed and inserted into the memo table.
-    pub exp_memo_misses: u64,
     /// Injected sense-amplifier comparison flips.
     pub fault_sense_flips: u64,
     /// Stuck-at cells re-pinned to their rail after a kernel event.
@@ -69,8 +65,8 @@ pub struct ModelPerf {
     pub exp_batch_lanes: u64,
     /// Decay-factor vectors served from the per-(row, dt) cache.
     pub decay_vec_hits: u64,
-    /// Materialize buffers adopted warm from a previous task or shard
-    /// generation (fleet/serve cache sharing).
+    /// Materialize buffers adopted warm from a previous task on the
+    /// same fleet worker (fleet cache sharing).
     pub cache_share_hits: u64,
 }
 
@@ -95,8 +91,6 @@ impl ModelPerf {
         self.snapshot_hits += other.snapshot_hits;
         self.snapshot_misses += other.snapshot_misses;
         self.snapshot_bytes += other.snapshot_bytes;
-        self.exp_memo_hits += other.exp_memo_hits;
-        self.exp_memo_misses += other.exp_memo_misses;
         self.fault_sense_flips += other.fault_sense_flips;
         self.fault_stuck_pins += other.fault_stuck_pins;
         self.fault_decoder_drops += other.fault_decoder_drops;
@@ -152,8 +146,6 @@ mod tests {
             snapshot_hits: 16,
             snapshot_misses: 17,
             snapshot_bytes: 18,
-            exp_memo_hits: 19,
-            exp_memo_misses: 20,
             fault_sense_flips: 21,
             fault_stuck_pins: 22,
             fault_decoder_drops: 23,
@@ -174,8 +166,6 @@ mod tests {
         assert_eq!(total.snapshot_hits, 32);
         assert_eq!(total.snapshot_misses, 34);
         assert_eq!(total.snapshot_bytes, 36);
-        assert_eq!(total.exp_memo_hits, 38);
-        assert_eq!(total.exp_memo_misses, 40);
         assert_eq!(total.fault_sense_flips, 42);
         assert_eq!(total.fault_stuck_pins, 44);
         assert_eq!(total.fault_decoder_drops, 46);

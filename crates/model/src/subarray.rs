@@ -995,11 +995,11 @@ impl Subarray {
                 .silicon
                 .vrt_effective_tau(self.bank, self.index, row, col, nominal, at);
             // Undo the nominal decay and re-apply with the effective tau.
-            let v = rs.v[col] * ctx.cache.exp(&mut *ctx.perf, dt.value() / nominal.value());
+            let v = rs.v[col] * (dt.value() / nominal.value()).exp();
             exp_calls += 1;
             if v != 0.0 {
                 exp_calls += 1;
-                rs.v[col] = v * ctx.cache.exp(&mut *ctx.perf, -dt.value() / eff.value());
+                rs.v[col] = v * (-dt.value() / eff.value()).exp();
             } else {
                 rs.v[col] = v;
             }

@@ -360,18 +360,7 @@ impl ShardState {
         if self.dies.contains_key(&id) {
             return;
         }
-        let mut fresh = Die::new(&self.cfg, id, 0);
-        // First touch: adopt a sibling die's materialize caches. The new
-        // seed invalidates the per-die buffers (adoption clears them),
-        // but the pure-math exp memo transfers verbatim, so every die
-        // after the shard's first skips the transcendental warm-up.
-        if let Some(donor) = self.dies.values().next() {
-            fresh
-                .mc
-                .module_mut()
-                .install_caches(donor.mc.module().clone_caches());
-        }
-        self.dies.insert(id, fresh);
+        self.dies.insert(id, Die::new(&self.cfg, id, 0));
     }
 
     fn remap(&mut self, id: usize, reason: &str) -> u32 {
@@ -381,16 +370,6 @@ impl ShardState {
         };
         let mut fresh = Die::new(&self.cfg, id, next_gen);
         fresh.seq = seq;
-        // Hand the retired generation's materialize caches to the fresh
-        // die. The new seed invalidates the per-die buffers (adoption
-        // clears them), but the pure-math exp memo survives, so a
-        // remapped die warms up without recomputing transcendentals.
-        if let Some(old) = self.dies.get_mut(&id) {
-            fresh
-                .mc
-                .module_mut()
-                .install_caches(old.mc.module_mut().take_caches());
-        }
         self.dies.insert(id, fresh);
         self.board.record_remap(RemapEvent {
             die: id,
