@@ -3,34 +3,45 @@
 //!
 //! Every static parameter in [`Silicon`] is a pure function of
 //! `(chip seed, parameter id, coordinates)` — see
-//! [`crate::variation`]. The kernels used to re-derive some of them
-//! (notably the per-cell charge-injection offset, a full hash +
-//! Box–Muller per column) on **every** event. This cache builds each
-//! buffer exactly once per (chip, coordinate) and hands the kernels
-//! plain slices:
+//! [`crate::variation`]. This cache builds each buffer once per
+//! (chip, coordinate) and hands the kernels plain slices:
 //!
 //! - [`RowStatics`] per (bank, sub-array, row): cell capacitance,
-//!   leakage tau at 20 °C, charge-injection offset, VRT column list;
+//!   charge-injection offset and stuck cells (the share half), leakage
+//!   tau at 20 °C and the VRT column list (the leak half);
 //! - [`ColStatics`] per (bank, sub-array): sense-amplifier offset,
 //!   its temperature coefficient, anti-cell polarity, and the Half-m
 //!   closure asymmetry;
 //! - per-slot multi-row share weights.
 //!
+//! A miss fills a buffer in slice passes: the key prefix shared by the
+//! whole row or sub-array is folded once, each column finishes it, and
+//! Box–Muller runs as one pass per step over all columns. Each half of
+//! the statics is built only when a kernel first reads it — the leak
+//! half on a row's first real leak, the Half-m asymmetry on the first
+//! Half-m close — as a deferred fill of the same buffer, so hit and miss
+//! counts do not depend on which halves were read.
+//!
 //! **Determinism argument.** Caching cannot change any simulated value:
-//! the buffers hold the same `f64`/`f32` bit patterns the direct
-//! [`Silicon`] calls return (the builders call those very functions),
-//! and the stateful temporal-noise RNG is never involved. The cache is
-//! keyed off the silicon seed — asking it about a chip with a different
-//! seed drops every buffer and rebuilds, so stale statics can never
-//! leak across chips. Experiment stdout is byte-identical with or
+//! the prefix fold plus the per-column finish is the same hash chain as
+//! the full per-cell key, and every slice pass evaluates, per lane, the
+//! expression the [`Silicon`] method evaluates, in the same order. The
+//! buffers therefore hold the same `f64`/`f32` bit patterns the direct
+//! [`Silicon`] calls return, which stay as the oracle the tests compare
+//! against. The stateful temporal-noise RNG is never involved. The cache
+//! is keyed off the silicon seed — asking it about a chip with a
+//! different seed drops every buffer and rebuilds, so stale statics can
+//! never leak across chips. Experiment stdout is byte-identical with or
 //! without the cache; only wall time changes.
 
 use std::collections::HashMap;
 
 use crate::chip::ChipConfig;
 use crate::env::Environment;
+use crate::faults::FaultPlan;
 use crate::perf::ModelPerf;
 use crate::silicon::Silicon;
+use crate::variation::{LaneScratch, ParamId};
 
 /// Cached decay-factor vectors are evicted wholesale past this count;
 /// each entry is one row's worth of `f64`s for one `(dt, scale)` pair.
@@ -48,19 +59,27 @@ pub struct SenseThresholds {
 }
 
 /// Static per-cell parameters of one row, as contiguous buffers.
+///
+/// The row is built in two halves, each on first read: the share half
+/// (`cap`, `inject`, `stuck`) by [`MaterializeCache::ensure_row`], the
+/// leak half (`tau20`, `vrt`) by the row's first real leak, through
+/// [`MaterializeCache::ensure_decay_factors`]. A row that is only ever
+/// shared and sensed (a PUF row) never samples its leak statics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowStatics {
     /// Cell capacitance (fF), one entry per column.
     pub cap: Box<[f32]>,
-    /// Leakage time constant at 20 °C (seconds), one entry per column.
-    pub tau20: Box<[f32]>,
     /// Charge-injection offset (volts), one entry per column.
     pub inject: Box<[f64]>,
-    /// Columns whose cell is VRT (sparse, ascending).
-    pub vrt: Box<[u32]>,
     /// Stuck-at cells (sparse, ascending), encoded `col << 1 | rail`.
     /// Empty unless a fault plan with a stuck density is installed.
     pub stuck: Box<[u32]>,
+    /// Leakage time constant at 20 °C (seconds), one entry per column;
+    /// empty until the leak half is built.
+    pub tau20: Box<[f32]>,
+    /// Columns whose cell is VRT (sparse, ascending); empty until the
+    /// leak half is built.
+    pub vrt: Box<[u32]>,
 }
 
 /// Static per-column parameters of one sub-array, as contiguous buffers.
@@ -73,7 +92,8 @@ pub struct ColStatics {
     /// Whether the column is wired as anti-cells.
     pub anti: Box<[bool]>,
     /// Raw Half-m closure asymmetry (volts), before the metastability
-    /// roll-off applied at close time.
+    /// roll-off applied at close time. Empty until the sub-array's first
+    /// Half-m close ([`MaterializeCache::ensure_halfm_asym`]).
     pub halfm_asym: Box<[f64]>,
 }
 
@@ -95,6 +115,11 @@ pub struct MaterializeCache {
     /// Decay-factor vectors: `exp(-dt / (tau20[col] * scale))` per
     /// column.
     decay: HashMap<DecayKey, Box<[f64]>>,
+    /// Lane scratch of the sampler's slice passes, reused by every miss.
+    lanes: LaneScratch,
+    /// Standard-normal scratch for the buffers stored narrower than
+    /// `f64`.
+    z: Vec<f64>,
     /// Full identity of the chip that donated this cache (stamped by
     /// `Chip::take_cache`). The buffers are pure in the *whole* chip
     /// configuration — group profile, analog parameters, and geometry,
@@ -172,7 +197,8 @@ impl MaterializeCache {
         }
     }
 
-    /// Builds (on miss) the per-column statics of one sub-array.
+    /// Builds (on miss) the per-column statics of one sub-array, except
+    /// the Half-m asymmetry, which only a Half-m close reads.
     pub fn ensure_cols(
         &mut self,
         silicon: &Silicon,
@@ -187,23 +213,36 @@ impl MaterializeCache {
             return;
         }
         perf.cache_misses += 1;
-        let mut offset = Vec::with_capacity(cols);
-        let mut temp_coeff = Vec::with_capacity(cols);
-        let mut anti = Vec::with_capacity(cols);
-        let mut halfm_asym = Vec::with_capacity(cols);
-        for col in 0..cols {
-            offset.push(silicon.sense_offset(bank, sub, col).value());
-            temp_coeff.push(silicon.sense_temp_coeff(bank, sub, col));
-            anti.push(silicon.is_anti_column(bank, sub, col));
-            halfm_asym.push(silicon.halfm_asymmetry(bank, sub, col).value());
-        }
+        let (sampler, params) = (silicon.sampler(), silicon.params());
+        let lead = [bank as u64, sub as u64];
+        let mut offset = vec![0.0; cols];
+        sampler.fill_normal(
+            ParamId::SenseOffset,
+            &lead,
+            silicon.profile().sense_offset_mean.value(),
+            params.sense_offset_sigma.value(),
+            &mut offset,
+            &mut self.lanes,
+        );
+        let mut temp_coeff = vec![0.0; cols];
+        sampler.fill_normal(
+            ParamId::SenseTempCoeff,
+            &lead,
+            0.0,
+            params.sense_temp_coeff_sigma,
+            &mut temp_coeff,
+            &mut self.lanes,
+        );
+        let anti = sampler
+            .bernoulli_lanes(ParamId::Polarity, &lead, params.anti_cell_fraction, cols)
+            .collect();
         self.cols.insert(
             (bank, sub),
             Box::new(ColStatics {
                 offset: offset.into(),
                 temp_coeff: temp_coeff.into(),
-                anti: anti.into(),
-                halfm_asym: halfm_asym.into(),
+                anti,
+                halfm_asym: Box::default(),
             }),
         );
     }
@@ -218,6 +257,34 @@ impl MaterializeCache {
         self.cols
             .get(&(bank, sub))
             .expect("ensure_cols before cols")
+    }
+
+    /// Ensures a sub-array's column statics including the Half-m
+    /// asymmetry. The asymmetry is a deferred fill of the same buffer,
+    /// so it counts no extra hit or miss.
+    pub fn ensure_halfm_asym(
+        &mut self,
+        silicon: &Silicon,
+        perf: &mut ModelPerf,
+        bank: usize,
+        sub: usize,
+        cols: usize,
+    ) {
+        self.ensure_cols(silicon, perf, bank, sub, cols);
+        let statics = self.cols.get_mut(&(bank, sub)).expect("cols just ensured");
+        if !statics.halfm_asym.is_empty() {
+            return;
+        }
+        let mut asym = vec![0.0; cols];
+        silicon.sampler().fill_normal(
+            ParamId::HalfmAsymmetry,
+            &[bank as u64, sub as u64],
+            0.0,
+            silicon.params().halfm_asym_sigma.value(),
+            &mut asym,
+            &mut self.lanes,
+        );
+        statics.halfm_asym = asym.into();
     }
 
     /// Builds (on miss) the share weights of one activation-role slot.
@@ -236,10 +303,23 @@ impl MaterializeCache {
             return;
         }
         perf.cache_misses += 1;
-        let w: Vec<f32> = (0..cols)
-            .map(|col| silicon.share_weight(bank, sub, slot, col) as f32)
-            .collect();
-        self.weights.insert((bank, sub, slot), w.into());
+        let mean = silicon
+            .profile()
+            .row_weight_means
+            .get(slot)
+            .copied()
+            .unwrap_or(1.0);
+        let z = head(&mut self.z, cols);
+        silicon.sampler().fill_normal(
+            ParamId::RowShareWeight,
+            &[bank as u64, sub as u64, slot as u64],
+            mean,
+            silicon.params().share_weight_sigma,
+            z,
+            &mut self.lanes,
+        );
+        let w = z.iter().map(|&w| w.max(0.05) as f32).collect();
+        self.weights.insert((bank, sub, slot), w);
     }
 
     /// The share weights of one slot; call
@@ -254,7 +334,9 @@ impl MaterializeCache {
             .expect("ensure_weights before weights")
     }
 
-    /// Builds (on miss) the per-cell statics of one row.
+    /// Builds (on miss) the share half of one row's per-cell statics:
+    /// capacitance, charge injection and the stuck list. The leak half
+    /// waits for [`MaterializeCache::ensure_decay_factors`].
     pub fn ensure_row(
         &mut self,
         silicon: &Silicon,
@@ -270,32 +352,104 @@ impl MaterializeCache {
             return;
         }
         perf.cache_misses += 1;
-        let mut cap = Vec::with_capacity(cols);
-        let mut tau20 = Vec::with_capacity(cols);
-        let mut inject = Vec::with_capacity(cols);
-        let mut vrt = Vec::new();
-        let mut stuck = Vec::new();
-        for col in 0..cols {
-            cap.push(silicon.cell_capacitance(bank, sub, row, col).value() as f32);
-            tau20.push(silicon.leak_tau(bank, sub, row, col).value() as f32);
-            inject.push(silicon.cell_inject(bank, sub, row, col).value());
-            if silicon.is_vrt(bank, sub, row, col) {
-                vrt.push(col as u32);
-            }
-            if let Some(rail) = silicon.stuck_at(bank, sub, row, col) {
-                stuck.push((col as u32) << 1 | rail as u32);
-            }
-        }
+        let (sampler, params) = (silicon.sampler(), silicon.params());
+        let lead = [bank as u64, sub as u64, row as u64];
+        let weak = weak_plan(silicon);
+        let z = head(&mut self.z, cols);
+        sampler.fill_normal(
+            ParamId::CellCapacitance,
+            &lead,
+            1.0,
+            params.cell_cap_rel_sigma,
+            z,
+            &mut self.lanes,
+        );
+        // Same clamp and weak factor, in the same order, as
+        // `Silicon::cell_capacitance`.
+        let cap = z
+            .iter()
+            .enumerate()
+            .map(|(col, &rel)| {
+                let cap = params.cell_cap * rel.clamp(0.5, 1.5);
+                match weak {
+                    Some(p) if p.is_weak(bank, sub, row, col) => cap * p.config().weak_cap_factor,
+                    _ => cap,
+                }
+                .value() as f32
+            })
+            .collect();
+        let mut inject = vec![0.0; cols];
+        sampler.fill_normal(
+            ParamId::CellInject,
+            &lead,
+            0.0,
+            params.cell_inject_sigma.value(),
+            &mut inject,
+            &mut self.lanes,
+        );
+        let stuck = (0..cols)
+            .filter_map(|col| {
+                silicon
+                    .stuck_at(bank, sub, row, col)
+                    .map(|rail| (col as u32) << 1 | rail as u32)
+            })
+            .collect();
         self.rows.insert(
             (bank, sub, row),
             Box::new(RowStatics {
-                cap: cap.into(),
-                tau20: tau20.into(),
+                cap,
                 inject: inject.into(),
-                vrt: vrt.into(),
-                stuck: stuck.into(),
+                stuck,
+                tau20: Box::default(),
+                vrt: Box::default(),
             }),
         );
+    }
+
+    /// Fills the leak half (`tau20`, `vrt`) of an ensured row, once. A
+    /// deferred fill of the same buffer: it counts no hit or miss.
+    fn fill_leak_half(&mut self, silicon: &Silicon, bank: usize, sub: usize, row: usize) {
+        let statics = self
+            .rows
+            .get_mut(&(bank, sub, row))
+            .expect("ensure_row before the leak half");
+        if !statics.tau20.is_empty() {
+            return;
+        }
+        let (sampler, params) = (silicon.sampler(), silicon.params());
+        let cols = statics.cap.len();
+        let lead = [bank as u64, sub as u64, row as u64];
+        let weak = weak_plan(silicon);
+        let z = head(&mut self.z, cols);
+        sampler.fill_lognormal(
+            ParamId::LeakageTau,
+            &lead,
+            params.leak_tau_median.value(),
+            params.leak_tau_sigma_ln,
+            z,
+            &mut self.lanes,
+        );
+        // Same group scale and weak factor, in the same order, as
+        // `Silicon::leak_tau`.
+        let scale = silicon.profile().leak_tau_scale;
+        statics.tau20 = z
+            .iter()
+            .enumerate()
+            .map(|(col, &tau)| {
+                let scaled = tau * scale;
+                (match weak {
+                    Some(p) if p.is_weak(bank, sub, row, col) => {
+                        scaled * p.config().weak_tau_factor
+                    }
+                    _ => scaled,
+                }) as f32
+            })
+            .collect();
+        statics.vrt = sampler
+            .bernoulli_lanes(ParamId::VrtFlag, &lead, params.vrt_fraction, cols)
+            .enumerate()
+            .filter_map(|(col, vrt)| vrt.then_some(col as u32))
+            .collect();
     }
 
     /// The per-cell statics of a row; call
@@ -437,6 +591,7 @@ impl MaterializeCache {
         scale: f64,
     ) {
         self.ensure_row(silicon, perf, bank, sub, row, cols);
+        self.fill_leak_half(silicon, bank, sub, row);
         let key = (bank, sub, row, dt.to_bits(), scale.to_bits());
         if self.decay.contains_key(&key) {
             perf.decay_vec_hits += 1;
@@ -486,6 +641,19 @@ impl MaterializeCache {
     }
 }
 
+/// The installed fault plan when it marks weak cells.
+fn weak_plan(silicon: &Silicon) -> Option<&FaultPlan> {
+    silicon.faults().filter(|p| p.config().weak_density > 0.0)
+}
+
+/// The first `n` lanes of a reusable scratch buffer, grown on demand.
+fn head(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    if buf.len() < n {
+        buf.resize(n, 0.0);
+    }
+    &mut buf[..n]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,32 +683,116 @@ mod tests {
         assert_eq!(a.weights(0, 1, 2), b.weights(0, 1, 2));
     }
 
+    /// Compares every materialized buffer of `(bank, sub, row)` and its
+    /// sub-array against the per-cell `Silicon` oracle, bit for bit.
+    fn assert_matches_oracle(cache: &MaterializeCache, s: &Silicon, cols: usize, what: &str) {
+        let (bank, sub, row) = (1, 2, 5);
+        let r = cache.row(bank, sub, row);
+        let c = cache.cols(bank, sub);
+        for col in 0..cols {
+            let cap = s.cell_capacitance(bank, sub, row, col).value() as f32;
+            assert_eq!(r.cap[col].to_bits(), cap.to_bits(), "{what}: cap {col}");
+            let tau = s.leak_tau(bank, sub, row, col).value() as f32;
+            assert_eq!(r.tau20[col].to_bits(), tau.to_bits(), "{what}: tau20 {col}");
+            let inject = s.cell_inject(bank, sub, row, col).value();
+            assert_eq!(
+                r.inject[col].to_bits(),
+                inject.to_bits(),
+                "{what}: inject {col}"
+            );
+            let offset = s.sense_offset(bank, sub, col).value();
+            assert_eq!(
+                c.offset[col].to_bits(),
+                offset.to_bits(),
+                "{what}: offset {col}"
+            );
+            let coeff = s.sense_temp_coeff(bank, sub, col);
+            assert_eq!(
+                c.temp_coeff[col].to_bits(),
+                coeff.to_bits(),
+                "{what}: coeff {col}"
+            );
+            assert_eq!(
+                c.anti[col],
+                s.is_anti_column(bank, sub, col),
+                "{what}: anti {col}"
+            );
+            let asym = s.halfm_asymmetry(bank, sub, col).value();
+            assert_eq!(
+                c.halfm_asym[col].to_bits(),
+                asym.to_bits(),
+                "{what}: asym {col}"
+            );
+            for slot in 0..4 {
+                let w = s.share_weight(bank, sub, slot, col) as f32;
+                let got = cache.weights(bank, sub, slot)[col];
+                assert_eq!(got.to_bits(), w.to_bits(), "{what}: weight {slot}/{col}");
+            }
+        }
+        let vrt: Vec<u32> = (0..cols)
+            .filter(|&col| s.is_vrt(bank, sub, row, col))
+            .map(|col| col as u32)
+            .collect();
+        assert_eq!(r.vrt.as_ref(), vrt.as_slice(), "{what}: vrt");
+        let stuck: Vec<u32> = (0..cols)
+            .filter_map(|col| {
+                s.stuck_at(bank, sub, row, col)
+                    .map(|rail| (col as u32) << 1 | rail as u32)
+            })
+            .collect();
+        assert_eq!(r.stuck.as_ref(), stuck.as_slice(), "{what}: stuck");
+    }
+
     #[test]
     fn buffers_match_direct_silicon_calls() {
-        let s = silicon(9);
-        let mut perf = ModelPerf::default();
-        let mut cache = MaterializeCache::new(9);
-        cache.ensure_row(&s, &mut perf, 2, 0, 5, COLS);
-        cache.ensure_cols(&s, &mut perf, 2, 0, COLS);
-        let row = cache.row(2, 0, 5);
-        let cols = cache.cols(2, 0);
-        for col in 0..COLS {
-            assert_eq!(row.inject[col], s.cell_inject(2, 0, 5, col).value());
-            assert_eq!(
-                row.cap[col],
-                s.cell_capacitance(2, 0, 5, col).value() as f32
-            );
-            assert_eq!(row.tau20[col], s.leak_tau(2, 0, 5, col).value() as f32);
-            assert_eq!(cols.offset[col], s.sense_offset(2, 0, col).value());
-            assert_eq!(cols.anti[col], s.is_anti_column(2, 0, col));
-            assert_eq!(cols.halfm_asym[col], s.halfm_asymmetry(2, 0, col).value());
+        use crate::faults::{FaultConfig, FaultPlan};
+        let (bank, sub, row) = (1, 2, 5);
+        for group in GroupId::ALL {
+            for cols in [1usize, 63, 64, 4097] {
+                for faults in [false, true] {
+                    let seed = 0xC0FFEE ^ cols as u64;
+                    let mut s = Silicon::new(seed, DeviceParams::default(), group.profile());
+                    if faults {
+                        s.set_faults(Some(FaultPlan::new(
+                            seed,
+                            FaultConfig {
+                                stuck_density: 0.05,
+                                weak_density: 0.1,
+                                ..FaultConfig::none()
+                            },
+                        )));
+                    }
+                    let what = format!("{group} cols {cols} faults {faults}");
+                    let mut misses = Vec::new();
+                    for share_first in [true, false] {
+                        let mut perf = ModelPerf::default();
+                        let mut cache = MaterializeCache::new(seed);
+                        let share = |cache: &mut MaterializeCache, perf: &mut ModelPerf| {
+                            cache.ensure_row(&s, perf, bank, sub, row, cols);
+                            cache.ensure_cols(&s, perf, bank, sub, cols);
+                            for slot in 0..4 {
+                                cache.ensure_weights(&s, perf, bank, sub, slot, cols);
+                            }
+                        };
+                        if share_first {
+                            share(&mut cache, &mut perf);
+                            assert!(cache.row(bank, sub, row).tau20.is_empty());
+                            assert!(cache.cols(bank, sub).halfm_asym.is_empty());
+                        }
+                        cache.ensure_decay_factors(&s, &mut perf, bank, sub, row, cols, 0.064, 1.0);
+                        cache.ensure_halfm_asym(&s, &mut perf, bank, sub, cols);
+                        if !share_first {
+                            share(&mut cache, &mut perf);
+                        }
+                        assert_matches_oracle(&cache, &s, cols, &what);
+                        misses.push(perf.cache_misses);
+                    }
+                    // Deferred fills are part of their buffer: the order
+                    // the halves are read in moves no counter.
+                    assert_eq!(misses, [6, 6], "{what}");
+                }
+            }
         }
-        assert_eq!(
-            row.vrt.iter().map(|&c| c as usize).collect::<Vec<_>>(),
-            (0..COLS)
-                .filter(|&c| s.is_vrt(2, 0, 5, c))
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -548,8 +800,8 @@ mod tests {
         let mut perf = ModelPerf::default();
         let mut a = MaterializeCache::new(1);
         let mut b = MaterializeCache::new(2);
-        a.ensure_row(&silicon(1), &mut perf, 0, 0, 0, COLS);
-        b.ensure_row(&silicon(2), &mut perf, 0, 0, 0, COLS);
+        a.ensure_decay_factors(&silicon(1), &mut perf, 0, 0, 0, COLS, 0.064, 1.0);
+        b.ensure_decay_factors(&silicon(2), &mut perf, 0, 0, 0, COLS, 0.064, 1.0);
         assert_ne!(a.row(0, 0, 0).inject, b.row(0, 0, 0).inject);
         assert_ne!(a.row(0, 0, 0).tau20, b.row(0, 0, 0).tau20);
     }

@@ -799,7 +799,7 @@ impl Subarray {
         // while Frac (single-row interruption) stays uniform.
         let started = Instant::now();
         if self.multi_row && !self.sensed && !self.open.is_empty() {
-            ctx.cache.ensure_cols(
+            ctx.cache.ensure_halfm_asym(
                 ctx.silicon,
                 &mut *ctx.perf,
                 self.bank,

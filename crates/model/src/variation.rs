@@ -31,14 +31,28 @@
 /// SplitMix64 output mix; a strong 64-bit mixing function.
 pub use fracdram_stats::rng::splitmix64_mix as splitmix64;
 
+/// Initial accumulator of every coordinate fold.
+const FOLD_INIT: u64 = 0x51C6_4372_11E5_BEEF;
+/// Golden-ratio multiplier that spreads each word before it is mixed in.
+const FOLD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Folds `words` into the accumulator `acc`, one SplitMix64 round per
+/// word. Every key in this module — [`hash_coords`], the static sampler
+/// and the noise engine — is this fold followed by one final mix.
+#[inline]
+fn fold<'a>(acc: u64, words: impl IntoIterator<Item = &'a u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(acc, |acc, &w| splitmix64(acc ^ w.wrapping_mul(FOLD_MUL)))
+}
+
 /// Hashes a slice of coordinate words into a single well-mixed 64-bit value.
 pub fn hash_coords(words: &[u64]) -> u64 {
-    let mut acc: u64 = 0x51C6_4372_11E5_BEEF;
-    for &w in words {
-        acc = splitmix64(acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    }
-    splitmix64(acc)
+    splitmix64(fold(FOLD_INIT, words))
 }
+
+/// Salt that derives a Box–Muller draw's angle uniform from its bits.
+const ANGLE_SALT: u64 = 0xA5A5_A5A5_5A5A_5A5A;
 
 /// Converts 64 random bits into a uniform `f64` in `[0, 1)`.
 #[inline]
@@ -133,11 +147,107 @@ impl VariationSampler {
 
     /// Raw 64 mixed bits for a parameter at some coordinates.
     pub fn bits(&self, param: ParamId, coords: &[u64]) -> u64 {
-        let mut words = Vec::with_capacity(coords.len() + 2);
-        words.push(self.seed);
-        words.push(param as u64);
-        words.extend_from_slice(coords);
-        hash_coords(&words)
+        splitmix64(fold(
+            FOLD_INIT,
+            [self.seed, param as u64].iter().chain(coords),
+        ))
+    }
+
+    /// The fold of `param` over the leading coordinates `lead`: the
+    /// shared part of every key `[lead.., lane]`. Finishing it with
+    /// [`VariationSampler::lane_bits`] equals [`VariationSampler::bits`]
+    /// on the full key, so a row or column buffer folds its constant
+    /// prefix once instead of once per lane.
+    fn prefix(&self, param: ParamId, lead: &[u64]) -> u64 {
+        fold(FOLD_INIT, [self.seed, param as u64].iter().chain(lead))
+    }
+
+    /// Raw bits of the key `[lead.., lane]` from its folded `prefix`.
+    #[inline]
+    fn lane_bits(prefix: u64, lane: u64) -> u64 {
+        splitmix64(fold(prefix, &[lane]))
+    }
+
+    /// Bernoulli samples of `param` for the lanes `0..lanes` of the key
+    /// `[lead.., lane]`; lane for lane equal to
+    /// [`VariationSampler::bernoulli`].
+    pub fn bernoulli_lanes(
+        &self,
+        param: ParamId,
+        lead: &[u64],
+        p: f64,
+        lanes: usize,
+    ) -> impl Iterator<Item = bool> {
+        let prefix = self.prefix(param, lead);
+        (0..lanes as u64).map(move |lane| to_unit_f64(Self::lane_bits(prefix, lane)) < p)
+    }
+
+    /// Slice pass: fills `out[lane]` with the standard normal of the key
+    /// `[lead.., lane]` for every lane, bit-identical to
+    /// [`VariationSampler::standard_normal`] per lane. The Box–Muller
+    /// steps run as separate passes over the whole slice (bits, the two
+    /// uniforms, radius, angle, product) so each pass is a tight loop;
+    /// every lane still sees the same operations in the same order.
+    pub fn fill_standard_normal(
+        &self,
+        param: ParamId,
+        lead: &[u64],
+        out: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) {
+        let n = out.len();
+        let prefix = self.prefix(param, lead);
+        let (bits, angle) = scratch.lanes(n);
+        for (lane, b) in bits.iter_mut().enumerate() {
+            *b = Self::lane_bits(prefix, lane as u64);
+        }
+        for ((r, a), &b) in out.iter_mut().zip(angle.iter_mut()).zip(bits.iter()) {
+            *r = to_unit_f64(b).max(1e-300);
+            *a = to_unit_f64(splitmix64(b ^ ANGLE_SALT));
+        }
+        for r in out.iter_mut() {
+            *r = (-2.0 * r.ln()).sqrt();
+        }
+        for a in angle.iter_mut() {
+            *a = (std::f64::consts::TAU * *a).cos();
+        }
+        for (r, &a) in out.iter_mut().zip(angle.iter()) {
+            *r *= a;
+        }
+    }
+
+    /// Slice pass: `out[lane] = mu + sigma * z[lane]`, bit-identical to
+    /// [`VariationSampler::normal`] per lane.
+    pub fn fill_normal(
+        &self,
+        param: ParamId,
+        lead: &[u64],
+        mu: f64,
+        sigma: f64,
+        out: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) {
+        self.fill_standard_normal(param, lead, out, scratch);
+        for v in out.iter_mut() {
+            *v = mu + sigma * *v;
+        }
+    }
+
+    /// Slice pass: `out[lane] = median * exp(sigma_ln * z[lane])`,
+    /// bit-identical to [`VariationSampler::lognormal`] per lane.
+    pub fn fill_lognormal(
+        &self,
+        param: ParamId,
+        lead: &[u64],
+        median: f64,
+        sigma_ln: f64,
+        out: &mut [f64],
+        scratch: &mut LaneScratch,
+    ) {
+        self.fill_standard_normal(param, lead, out, scratch);
+        for v in out.iter_mut() {
+            *v = median * (sigma_ln * *v).exp();
+        }
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -154,7 +264,7 @@ impl VariationSampler {
     pub fn standard_normal(&self, param: ParamId, coords: &[u64]) -> f64 {
         let bits = self.bits(param, coords);
         let u1 = to_unit_f64(bits).max(1e-300);
-        let u2 = to_unit_f64(splitmix64(bits ^ 0xA5A5_A5A5_5A5A_5A5A));
+        let u2 = to_unit_f64(splitmix64(bits ^ ANGLE_SALT));
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -167,6 +277,25 @@ impl VariationSampler {
     /// deviation of the underlying normal (`sigma_ln`).
     pub fn lognormal(&self, param: ParamId, coords: &[u64], median: f64, sigma_ln: f64) -> f64 {
         median * (sigma_ln * self.standard_normal(param, coords)).exp()
+    }
+}
+
+/// Reusable per-lane scratch of the sampler's slice passes, so a caller
+/// that fills many buffers allocates its lanes once.
+#[derive(Debug, Clone, Default)]
+pub struct LaneScratch {
+    bits: Vec<u64>,
+    angle: Vec<f64>,
+}
+
+impl LaneScratch {
+    /// The first `n` lanes of both scratch buffers, grown on demand.
+    fn lanes(&mut self, n: usize) -> (&mut [u64], &mut [f64]) {
+        if self.bits.len() < n {
+            self.bits.resize(n, 0);
+            self.angle.resize(n, 0.0);
+        }
+        (&mut self.bits[..n], &mut self.angle[..n])
     }
 }
 
@@ -220,16 +349,13 @@ impl NoiseEngine {
     /// location (bank, sub-array, and row where several same-purpose
     /// events can share a fire time, as refresh does).
     ///
-    /// The key folding replicates [`hash_coords`] over
-    /// `[seed, purpose, t, coords...]` without building a slice.
+    /// The key is [`hash_coords`] of `[seed, purpose, t, coords...]`,
+    /// folded without building a slice.
     #[inline]
     pub fn event(&self, purpose: NoisePurpose, t: u64, coords: &[u64]) -> NoiseEvent {
-        let mut acc: u64 = 0x51C6_4372_11E5_BEEF;
-        for &w in [self.seed, purpose as u64, t].iter().chain(coords) {
-            acc = splitmix64(acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
+        let words = [self.seed, purpose as u64, t];
         NoiseEvent {
-            base: splitmix64(acc),
+            base: splitmix64(fold(FOLD_INIT, words.iter().chain(coords))),
         }
     }
 }
@@ -388,6 +514,65 @@ mod tests {
             .count();
         let p = hits as f64 / n as f64;
         assert!((p - 0.3).abs() < 0.01, "p = {p}");
+    }
+
+    #[test]
+    fn prefix_and_lane_bits_equal_bits() {
+        let s = VariationSampler::new(0x5EED);
+        for lead in [&[3u64, 1][..], &[0, 2, 17], &[1, 0, 9, 4]] {
+            let prefix = s.prefix(ParamId::CellInject, lead);
+            for lane in [0u64, 1, 63, 64, 4096, u64::MAX] {
+                let key: Vec<u64> = lead.iter().copied().chain([lane]).collect();
+                assert_eq!(
+                    VariationSampler::lane_bits(prefix, lane),
+                    s.bits(ParamId::CellInject, &key),
+                    "{}-coordinate key, lane {lane}",
+                    key.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slice_passes_equal_per_lane_samples() {
+        let s = VariationSampler::new(77);
+        let mut scratch = LaneScratch::default();
+        // Longer first, so the shorter passes reuse grown scratch.
+        for n in [4097usize, 64, 63, 1] {
+            let lead = [1u64, 2, 3];
+            let key = |lane: usize| [1u64, 2, 3, lane as u64];
+            let mut z = vec![0.0; n];
+            s.fill_standard_normal(ParamId::LeakageTau, &lead, &mut z, &mut scratch);
+            let mut normal = vec![0.0; n];
+            s.fill_normal(
+                ParamId::CellInject,
+                &lead,
+                1.0,
+                0.1,
+                &mut normal,
+                &mut scratch,
+            );
+            let mut lognormal = vec![0.0; n];
+            s.fill_lognormal(
+                ParamId::LeakageTau,
+                &lead,
+                20.0,
+                1.8,
+                &mut lognormal,
+                &mut scratch,
+            );
+            let vrt: Vec<bool> = s.bernoulli_lanes(ParamId::VrtFlag, &lead, 0.3, n).collect();
+            for lane in 0..n {
+                let k = key(lane);
+                let want = s.standard_normal(ParamId::LeakageTau, &k);
+                assert_eq!(z[lane].to_bits(), want.to_bits(), "n {n} lane {lane}");
+                let want = s.normal(ParamId::CellInject, &k, 1.0, 0.1);
+                assert_eq!(normal[lane].to_bits(), want.to_bits());
+                let want = s.lognormal(ParamId::LeakageTau, &k, 20.0, 1.8);
+                assert_eq!(lognormal[lane].to_bits(), want.to_bits());
+                assert_eq!(vrt[lane], s.bernoulli(ParamId::VrtFlag, &k, 0.3));
+            }
+        }
     }
 
     #[test]

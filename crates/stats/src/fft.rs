@@ -129,41 +129,66 @@ pub fn dft(input: &[Complex]) -> Vec<Complex> {
         fft_pow2(&mut data, false);
         return data;
     }
+    bluestein(n, |k| input[k], |c| c)
+}
+
+/// Moduli of the DFT of a real-valued sequence.
+///
+/// Bit-identical to `dft(..)` followed by [`Complex::abs`] per bin, but
+/// on the Bluestein path it reads the real input and emits the moduli
+/// directly, so neither a complex copy of the input nor the complex
+/// spectrum is ever held.
+pub fn dft_magnitudes(input: &[f64]) -> Vec<f64> {
+    let n = input.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    if n.is_power_of_two() {
+        let mut data: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
+        fft_pow2(&mut data, false);
+        return data.into_iter().map(Complex::abs).collect();
+    }
+    bluestein(n, |k| Complex::new(input[k], 0.0), Complex::abs)
+}
+
+/// Bluestein's chirp-z transform of the length-`n` sequence `input(k)`,
+/// mapping each output bin through `emit`. `n` must not be a power of
+/// two.
+///
+/// Only the two length-`m` work buffers are ever held at once: the
+/// chirp is recomputed where it is needed instead of stored, and the
+/// conjugate-chirp kernel is dropped before the inverse transform.
+fn bluestein<T>(n: usize, input: impl Fn(usize) -> Complex, emit: impl Fn(Complex) -> T) -> Vec<T> {
     // Bluestein: x_k -> chirp premultiply, convolve with conjugate chirp.
     let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![Complex::default(); m];
-    let mut b = vec![Complex::default(); m];
     // Chirp: w_k = e^{-iπ k² / n}. Compute k² mod 2n to stay accurate for
     // large k.
-    let chirp: Vec<Complex> = (0..n)
-        .map(|k| {
-            let kk = (k as u128 * k as u128) % (2 * n as u128);
-            Complex::cis(-PI * kk as f64 / n as f64)
-        })
-        .collect();
-    for k in 0..n {
-        a[k] = input[k].mul(chirp[k]);
-        b[k] = chirp[k].conj();
-    }
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
-    }
-    fft_pow2(&mut a, false);
-    fft_pow2(&mut b, false);
-    for i in 0..m {
-        a[i] = a[i].mul(b[i]);
+    let chirp = |k: usize| {
+        let kk = (k as u128 * k as u128) % (2 * n as u128);
+        Complex::cis(-PI * kk as f64 / n as f64)
+    };
+    let mut a = vec![Complex::default(); m];
+    {
+        let mut b = vec![Complex::default(); m];
+        for k in 0..n {
+            let w = chirp(k);
+            a[k] = input(k).mul(w);
+            b[k] = w.conj();
+            if k > 0 {
+                b[m - k] = w.conj();
+            }
+        }
+        fft_pow2(&mut a, false);
+        fft_pow2(&mut b, false);
+        for (x, &y) in a.iter_mut().zip(&b) {
+            *x = x.mul(y);
+        }
     }
     fft_pow2(&mut a, true);
     let scale = 1.0 / m as f64;
     (0..n)
-        .map(|k| Complex::new(a[k].re * scale, a[k].im * scale).mul(chirp[k]))
+        .map(|k| emit(Complex::new(a[k].re * scale, a[k].im * scale).mul(chirp(k))))
         .collect()
-}
-
-/// Moduli of the DFT of a real-valued sequence.
-pub fn dft_magnitudes(input: &[f64]) -> Vec<f64> {
-    let complex: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    dft(&complex).into_iter().map(|c| c.abs()).collect()
 }
 
 #[cfg(test)]
@@ -251,6 +276,19 @@ mod tests {
         let freq_energy: f64 =
             spec.iter().map(|c| c.abs() * c.abs()).sum::<f64>() / sig.len() as f64;
         assert!((time_energy - freq_energy).abs() < 1e-8);
+    }
+
+    #[test]
+    fn magnitudes_are_bit_identical_to_dft_moduli() {
+        for n in [1000usize, 1024, 4097, 10_000] {
+            let real: Vec<f64> = (0..n)
+                .map(|i| if (i * 7919 + 13) % 11 < 5 { 1.0 } else { -1.0 })
+                .collect();
+            let complex: Vec<Complex> = real.iter().map(|&x| Complex::new(x, 0.0)).collect();
+            let want: Vec<u64> = dft(&complex).iter().map(|c| c.abs().to_bits()).collect();
+            let got: Vec<u64> = dft_magnitudes(&real).iter().map(|m| m.to_bits()).collect();
+            assert!(got == want, "length {n}: magnitudes differ from dft moduli");
+        }
     }
 
     #[test]
