@@ -285,7 +285,7 @@ impl<T> FleetRun<T> {
         let mut s = format!(
             "fleet: {} task(s) on {} thread(s) in {:.3}s — {} DRAM commands ({} ACT, {} RD, {} WR); \
              kernels: {} events / {} columns, {} exp(), cache {}h/{}m, {} shared, {:.1}ms in kernels; \
-             leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes; \
+             leak: {} skips, {} decay-vec hits; \
              snapshots {}h/{}m ({} B); \
              noise: {} draws / {} fills, {:.1}ms",
             self.tasks.len(),
@@ -304,8 +304,6 @@ impl<T> FleetRun<T> {
             perf.kernel_ns() as f64 / 1e6,
             perf.leak_row_skips,
             perf.decay_vec_hits,
-            perf.exp_batch_calls,
-            perf.exp_batch_lanes,
             perf.snapshot_hits,
             perf.snapshot_misses,
             perf.snapshot_bytes,
@@ -406,8 +404,6 @@ fn perf_json(p: &ModelPerf) -> Json {
         .field("cache_share_hits", p.cache_share_hits)
         .field("leak_row_skips", p.leak_row_skips)
         .field("decay_vec_hits", p.decay_vec_hits)
-        .field("exp_batch_calls", p.exp_batch_calls)
-        .field("exp_batch_lanes", p.exp_batch_lanes)
         .field("snapshot_hits", p.snapshot_hits)
         .field("snapshot_misses", p.snapshot_misses)
         .field("snapshot_bytes", p.snapshot_bytes)
@@ -938,8 +934,6 @@ mod tests {
                     cache_share_hits: 9,
                     leak_row_skips: 11,
                     decay_vec_hits: 4,
-                    exp_batch_calls: 2,
-                    exp_batch_lanes: 128,
                     ..ModelPerf::default()
                 },
                 ..RunMetrics::default()
@@ -975,11 +969,8 @@ mod tests {
         );
         assert!(
             summary.contains(&format!(
-                "leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes",
-                total.leak_row_skips,
-                total.decay_vec_hits,
-                total.exp_batch_calls,
-                total.exp_batch_lanes
+                "leak: {} skips, {} decay-vec hits;",
+                total.leak_row_skips, total.decay_vec_hits
             )),
             "{summary}"
         );
@@ -1004,8 +995,6 @@ mod tests {
             format!("\"cache_share_hits\":{}", total.cache_share_hits),
             format!("\"leak_row_skips\":{}", total.leak_row_skips),
             format!("\"decay_vec_hits\":{}", total.decay_vec_hits),
-            format!("\"exp_batch_calls\":{}", total.exp_batch_calls),
-            format!("\"exp_batch_lanes\":{}", total.exp_batch_lanes),
         ] {
             assert!(text.contains(&field), "{field} missing in {text}");
         }

@@ -573,11 +573,11 @@ impl MaterializeCache {
 
     /// Builds (on miss) the decay-factor vector of one row for one
     /// `(dt, scale)` pair: `factor[col] = exp(-dt / (tau20[col] * scale))`,
-    /// evaluated through [`fracdram_stats::special::exp_batch`] with the
-    /// exact per-column argument expression the leakage kernel used
-    /// inline — so `v * factor[col]` is bit-identical to the stepped
-    /// form. Event cadences repeat the same `dt` across trials, which
-    /// turns a row's whole leakage pass into one cached-vector multiply.
+    /// evaluated with the exact per-column argument expression the
+    /// leakage kernel used inline — so `v * factor[col]` is
+    /// bit-identical to the stepped form. Event cadences repeat the same
+    /// `dt` across trials, which turns a row's whole leakage pass into
+    /// one cached-vector multiply.
     #[allow(clippy::too_many_arguments)]
     pub fn ensure_decay_factors(
         &mut self,
@@ -605,20 +605,18 @@ impl MaterializeCache {
             .get(&(bank, sub, row))
             .expect("row just ensured")
             .tau20;
-        let mut args = Vec::with_capacity(cols);
-        for col in 0..cols {
-            // Same argument shape as the stepped leakage kernel: the tau
-            // product must stay in exactly this form — hoisting a
-            // reciprocal changes the rounding and breaks stdout
-            // byte-identity.
-            let tau = tau20[col] as f64 * scale;
-            args.push(-dt / tau);
-        }
-        let mut factors = vec![0.0f64; cols];
-        fracdram_stats::special::exp_batch(&args, &mut factors);
-        perf.exp_batch_calls += 1;
-        perf.exp_batch_lanes += cols as u64;
-        self.decay.insert(key, factors.into());
+        let factors: Box<[f64]> = tau20[..cols]
+            .iter()
+            .map(|&tau20| {
+                // Same argument shape as the stepped leakage kernel: the
+                // tau product must stay in exactly this form — hoisting
+                // a reciprocal changes the rounding and breaks stdout
+                // byte-identity.
+                let tau = tau20 as f64 * scale;
+                (-dt / tau).exp()
+            })
+            .collect();
+        self.decay.insert(key, factors);
     }
 
     /// The decay-factor vector of a row for one `(dt, scale)` pair; call

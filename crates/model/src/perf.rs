@@ -59,10 +59,6 @@ pub struct ModelPerf {
     /// Leakage passes skipped entirely by the lazy early-outs
     /// (no elapsed time, sub-µs gap, or never-charged row).
     pub leak_row_skips: u64,
-    /// Batched `exp` evaluations (decay-factor vector builds).
-    pub exp_batch_calls: u64,
-    /// Total lanes evaluated across all batched `exp` calls.
-    pub exp_batch_lanes: u64,
     /// Decay-factor vectors served from the per-(row, dt) cache.
     pub decay_vec_hits: u64,
     /// Materialize buffers adopted warm from a previous task on the
@@ -96,8 +92,6 @@ impl ModelPerf {
         self.fault_decoder_drops += other.fault_decoder_drops;
         self.fault_env_commands += other.fault_env_commands;
         self.leak_row_skips += other.leak_row_skips;
-        self.exp_batch_calls += other.exp_batch_calls;
-        self.exp_batch_lanes += other.exp_batch_lanes;
         self.decay_vec_hits += other.decay_vec_hits;
         self.cache_share_hits += other.cache_share_hits;
     }
@@ -151,8 +145,6 @@ mod tests {
             fault_decoder_drops: 23,
             fault_env_commands: 24,
             leak_row_skips: 25,
-            exp_batch_calls: 26,
-            exp_batch_lanes: 27,
             decay_vec_hits: 28,
             cache_share_hits: 29,
         };
@@ -171,8 +163,6 @@ mod tests {
         assert_eq!(total.fault_decoder_drops, 46);
         assert_eq!(total.fault_env_commands, 48);
         assert_eq!(total.leak_row_skips, 50);
-        assert_eq!(total.exp_batch_calls, 52);
-        assert_eq!(total.exp_batch_lanes, 54);
         assert_eq!(total.decay_vec_hits, 56);
         assert_eq!(total.cache_share_hits, 58);
         assert_eq!(total.fault_events(), 2 * (21 + 22 + 23 + 24));

@@ -8,7 +8,7 @@
 //!
 //! 1. the cached factor vector holds exactly the scalar
 //!    `(-dt / (tau20[col] * scale)).exp()` the stepped kernel computed
-//!    inline (no hoisted reciprocals, no batch-vs-scalar drift), and
+//!    inline (no hoisted reciprocals), and
 //! 2. donating a warm cache to another controller of the *same*
 //!    [`fracdram_model::ChipConfig`] never changes any simulated value,
 //!    while donating across configs (different seed, different device
@@ -52,8 +52,6 @@ fn decay_factor_vectors_match_inline_scalar_exp() {
                     }
                 }
             }
-            assert!(perf.exp_batch_calls > 0);
-            assert_eq!(perf.exp_batch_lanes, perf.exp_batch_calls * cols as u64);
         }
     }
 }

@@ -38,6 +38,19 @@ fn parse_group(name: &str) -> Option<GroupId> {
     })
 }
 
+/// Reads an integer flag that must fit `T`, exiting with status 2 and a
+/// named error when it does not: `--port 70000` must not wrap to 4464.
+fn fitted<T: TryFrom<u64> + Into<u64>>(args: &Args, key: &str, default: T) -> T {
+    let value = args.u64(key, default.into());
+    T::try_from(value).unwrap_or_else(|_| {
+        eprintln!(
+            "error: --{key} {value} is out of range (must fit a {})",
+            std::any::type_name::<T>()
+        );
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args = Args::parse();
     if args.usage(
@@ -56,7 +69,7 @@ fn main() {
             ),
             (
                 "batch",
-                "max requests coalesced per shard drain (default 8)",
+                "max requests per shard drain (one WAL fsync each) (default 8)",
             ),
             (
                 "cols",
@@ -163,8 +176,8 @@ fn main() {
         seed: args.u64("seed", defaults.seed),
         fault_limit: args.u64("fault-limit", defaults.fault_limit),
         breaker: BreakerConfig {
-            trip: args.u64("breaker-trip", defaults.breaker.trip as u64) as u32,
-            open: args.u64("breaker-open", defaults.breaker.open as u64) as u32,
+            trip: fitted(&args, "breaker-trip", defaults.breaker.trip),
+            open: fitted(&args, "breaker-open", defaults.breaker.open),
         },
         chaos,
         deadline_ms: args.u64("deadline-ms", defaults.deadline_ms),
@@ -176,7 +189,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let port = args.usize("port", 4717) as u16;
+    let port: u16 = fitted(&args, "port", 4717);
     let replay = args.str("replay").map(str::to_string);
     let recover_dump = args.str("recover-dump").map(PathBuf::from);
     let out = args.str("out").unwrap_or("-").to_string();

@@ -14,12 +14,12 @@
 //! * `fault` / `mark-bad` / `status` — fault-injection control,
 //!   administrative die retirement, and the health/remap report.
 //!
-//! Production concerns are the point of the crate: storage requests
-//! coalesce into combined `softmc` programs per die, bounded per-shard
-//! queues shed overload with `503` responses, a die that fails (or
-//! trips its fault-event limit) is remapped to fresh silicon without
-//! dropping requests, and the recorded request log replays to a
-//! byte-identical response log ([`server::run_replay`]). See DESIGN.md
+//! Production concerns are the point of the crate: every request runs
+//! as its own `softmc` program, bounded per-shard queues shed overload
+//! with `503` responses, a die that fails (or trips its fault-event
+//! limit) is remapped to fresh silicon without dropping requests, and
+//! the recorded request log replays to a byte-identical response log
+//! ([`server::run_replay`]). See DESIGN.md
 //! §"FracDRAM as a service" for why the determinism holds and
 //! EXPERIMENTS.md for the measured serving latencies.
 //!

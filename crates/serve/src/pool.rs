@@ -7,7 +7,7 @@
 //! noise engine makes all device randomness a function of simulated
 //! time rather than host scheduling, the response to a request depends
 //! only on the *per-die sequence of requests* — never on wall-clock
-//! timing, thread interleaving across dies, or batching. That is the
+//! timing, thread interleaving across dies, or drain sizes. That is the
 //! invariant the replay golden test pins down.
 //!
 //! Degradation: when an operation fails at the device level, or a die's
@@ -30,7 +30,6 @@ use fracdram::trng::Trng;
 use fracdram::FracDramError;
 use fracdram_experiments::Json;
 use fracdram_model::{FaultConfig, Geometry, GroupId, Module, ModuleConfig, RowAddr, SubarrayAddr};
-use fracdram_softmc::program::Program;
 use fracdram_softmc::MemoryController;
 use fracdram_stats::bits::BitVec;
 use fracdram_stats::rng::mix;
@@ -57,9 +56,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bound of each shard's work queue; a full queue sheds with `503`.
     pub queue_depth: usize,
-    /// Maximum requests a shard drains into one batch, coalescing
-    /// consecutive same-die writes/copies into a single compiled
-    /// program.
+    /// Maximum requests a shard drains at once; each drain shares one
+    /// WAL fsync.
     pub batch: usize,
     /// Columns per sub-array (row width in bits for these single-chip
     /// dies). Must be a multiple of 4 so hex payloads are exact.
@@ -155,8 +153,6 @@ pub struct StatusBoard {
     pub processed: AtomicU64,
     /// Requests shed with `503` because a shard queue was full.
     pub shed: AtomicU64,
-    /// Combined programs run on behalf of ≥ 2 coalesced requests.
-    pub batched: AtomicU64,
     /// Requests shed with `503` because they aged past
     /// [`ServeConfig::deadline_ms`] in a shard queue.
     pub deadline_shed: AtomicU64,
@@ -381,8 +377,8 @@ impl ShardState {
 
     /// Executes one die-routed request, returning its response. Part of
     /// the replay contract: calling this for each request of a per-die
-    /// ordered log yields exactly the responses the live (batching,
-    /// multi-shard) server produced.
+    /// ordered log yields exactly the responses the live (multi-shard)
+    /// server produced.
     ///
     /// # Panics
     ///
@@ -473,46 +469,6 @@ impl ShardState {
         Reply { die: id, seq, line }
     }
 
-    /// Executes a drained batch. The drain is partitioned by die first
-    /// (stable within each die, which is the only order the replay
-    /// contract fixes) and each die's consecutive combinable spans
-    /// coalesce into one combined program. Replies land back at their
-    /// input positions, so the response stream is bit-identical to
-    /// per-request execution: the controller clock advances purely
-    /// per-instruction — see DESIGN.md.
-    pub fn execute_batch(&mut self, reqs: &[Request]) -> Vec<Reply> {
-        self.board.record_drain(reqs.len());
-        let mut by_die: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let die = req.die().expect("only die-routed requests reach a shard");
-            by_die.entry(die).or_default().push(i);
-        }
-        let mut slots: Vec<Option<Reply>> = reqs.iter().map(|_| None).collect();
-        for idxs in by_die.values() {
-            let mut k = 0;
-            while k < idxs.len() {
-                let mut m = k;
-                while m < idxs.len() && self.combinable(&reqs[idxs[m]]) {
-                    m += 1;
-                }
-                if m - k >= 2 {
-                    let run: Vec<&Request> = idxs[k..m].iter().map(|&i| &reqs[i]).collect();
-                    for (slot, reply) in idxs[k..m].iter().zip(self.execute_run(&run)) {
-                        slots[*slot] = Some(reply);
-                    }
-                    k = m;
-                } else {
-                    slots[idxs[k]] = Some(self.execute(&reqs[idxs[k]]));
-                    k += 1;
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every request produced a reply"))
-            .collect()
-    }
-
     /// The breaker for die id `id`, created closed on first touch.
     fn breaker(&mut self, id: usize) -> &mut Breaker {
         let cfg = self.cfg.breaker;
@@ -535,90 +491,6 @@ impl ShardState {
             }
         }
         self.apply(id, req)
-    }
-
-    /// Whether `req` may join a coalesced run: a storage op whose
-    /// program we can pre-validate, on a die without fault injection
-    /// (an armed die may glitch mid-program, and a half-executed
-    /// combined program could not be untangled per-request), whose
-    /// breaker is closed (open/half-open dies go through the
-    /// per-request gate), and with chaos die-failure injection disarmed
-    /// (the oracle keys on individual seqs, which a combined program
-    /// cannot honor).
-    fn combinable(&mut self, req: &Request) -> bool {
-        if !matches!(req, Request::Write { .. } | Request::Copy { .. }) {
-            return false;
-        }
-        if self.chaos.is_some_and(|plan| plan.config().die_fail > 0.0) {
-            return false;
-        }
-        let id = req.die().expect("write/copy always carry a die");
-        if !self.breaker(id).is_closed() {
-            return false;
-        }
-        self.ensure_die(id);
-        let die = self.dies.get_mut(&id).unwrap();
-        !die.mc.module().faults_enabled() && prepare_program(&die.mc, &self.cfg, req).is_ok()
-    }
-
-    fn execute_run(&mut self, reqs: &[&Request]) -> Vec<Reply> {
-        let id = reqs[0].die().expect("runs are die-routed");
-        self.ensure_die(id);
-        let die = self.dies.get_mut(&id).unwrap();
-        let mut combined = Program::builder().build();
-        let mut metas = Vec::with_capacity(reqs.len());
-        for &req in reqs {
-            let (program, extra) =
-                prepare_program(&die.mc, &self.cfg, req).expect("run members pre-validated");
-            combined.extend_from(&program);
-            let seq = die.seq;
-            die.seq += 1;
-            metas.push((req, seq, extra));
-        }
-        let run = die.mc.run(&combined);
-        let generation = die.generation;
-        self.board
-            .processed
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        self.board.batched.fetch_add(1, Ordering::Relaxed);
-        let replies = match run {
-            Ok(_) => {
-                // Equivalent to a per-request `record_success` for each
-                // run member: `combinable` guaranteed the breaker was
-                // closed, where success only clears the score.
-                self.breaker(id).record_success();
-                metas
-                    .into_iter()
-                    .map(|(req, seq, extra)| Reply {
-                        die: id,
-                        seq,
-                        line: splice(ok_response(req, id, seq, generation), extra).to_string(),
-                    })
-                    .collect()
-            }
-            Err(e) => {
-                // Unreachable for validated storage programs on a
-                // fault-free die; handled anyway so a model regression
-                // degrades the die instead of wedging the shard.
-                let msg = e.to_string();
-                let generation = self.remap(id, &msg);
-                if self.breaker(id).record_failure() {
-                    self.board.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                }
-                metas
-                    .into_iter()
-                    .map(|(req, seq, _)| Reply {
-                        die: id,
-                        seq,
-                        line: error_response(req, id, seq, generation, 500, &msg).to_string(),
-                    })
-                    .collect()
-            }
-        };
-        if self.check_health(id) && self.breaker(id).record_failure() {
-            self.board.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        replies
     }
 
     /// Auto-remap a die whose accumulated fault events crossed the
@@ -726,12 +598,55 @@ impl ShardState {
                     .field("match", puf::authenticate(&signature, &fresh, *threshold))
                     .field("distance", distance))
             }
-            Request::Write { .. } | Request::Copy { .. } => {
-                let (program, extra) = prepare_program(&die.mc, &self.cfg, req)?;
+            Request::Write {
+                bank,
+                row,
+                payload,
+                frac,
+                ..
+            } => {
+                let addr = checked_row(&geometry, *bank, *row)?;
+                let row_bits = geometry.columns;
+                let bits = match payload {
+                    WritePayload::Fill(bit) => vec![*bit; row_bits],
+                    WritePayload::Hex(hex) => {
+                        let bits = hex_to_bits(hex).map_err(OpError::Bad)?;
+                        if bits.len() != row_bits {
+                            return Err(OpError::Bad(format!(
+                                "\"data\" is {} bits, row is {row_bits}",
+                                bits.len()
+                            )));
+                        }
+                        bits
+                    }
+                };
+                let mut program = die.mc.write_row_program(addr, &bits);
+                if *frac > 0 {
+                    require_frac_support(&die.mc).map_err(map_op_err)?;
+                    program.extend_from(&frac_program(addr, *frac));
+                }
                 die.mc
                     .run(&program)
                     .map_err(|e| OpError::Die(e.to_string()))?;
-                Ok(extra)
+                Ok(Json::obj().field("frac", *frac))
+            }
+            Request::Copy { bank, src, dst, .. } => {
+                let src = checked_row(&geometry, *bank, *src)?;
+                let dst = checked_row(&geometry, *bank, *dst)?;
+                let (ssub, _) = geometry.split_row(src.row);
+                let (dsub, _) = geometry.split_row(dst.row);
+                if ssub != dsub {
+                    return Err(OpError::Bad(format!(
+                        "copy crosses sub-arrays ({ssub} -> {dsub})"
+                    )));
+                }
+                if src.row == dst.row {
+                    return Err(OpError::Bad("copy onto itself".to_string()));
+                }
+                die.mc
+                    .run(&copy_program(src, dst))
+                    .map_err(|e| OpError::Die(e.to_string()))?;
+                Ok(Json::obj())
             }
             Request::Read { bank, row, .. } => {
                 let addr = checked_row(&geometry, *bank, *row)?;
@@ -772,65 +687,6 @@ impl ShardState {
                 unreachable!("handled before apply")
             }
         }
-    }
-}
-
-/// Builds the (pre-validated) program for a storage request, plus the
-/// extra response fields it earns. Pure in the request and die
-/// geometry/timing, so the batcher and the per-request path produce the
-/// same program.
-fn prepare_program(
-    mc: &MemoryController,
-    cfg: &ServeConfig,
-    req: &Request,
-) -> Result<(Program, Json), OpError> {
-    let geometry = cfg.geometry();
-    match req {
-        Request::Write {
-            bank,
-            row,
-            payload,
-            frac,
-            ..
-        } => {
-            let addr = checked_row(&geometry, *bank, *row)?;
-            let row_bits = geometry.columns;
-            let bits = match payload {
-                WritePayload::Fill(bit) => vec![*bit; row_bits],
-                WritePayload::Hex(hex) => {
-                    let bits = hex_to_bits(hex).map_err(OpError::Bad)?;
-                    if bits.len() != row_bits {
-                        return Err(OpError::Bad(format!(
-                            "\"data\" is {} bits, row is {row_bits}",
-                            bits.len()
-                        )));
-                    }
-                    bits
-                }
-            };
-            let mut program = mc.write_row_program(addr, &bits);
-            if *frac > 0 {
-                require_frac_support(mc).map_err(map_op_err)?;
-                program.extend_from(&frac_program(addr, *frac));
-            }
-            Ok((program, Json::obj().field("frac", *frac)))
-        }
-        Request::Copy { bank, src, dst, .. } => {
-            let src = checked_row(&geometry, *bank, *src)?;
-            let dst = checked_row(&geometry, *bank, *dst)?;
-            let (ssub, _) = geometry.split_row(src.row);
-            let (dsub, _) = geometry.split_row(dst.row);
-            if ssub != dsub {
-                return Err(OpError::Bad(format!(
-                    "copy crosses sub-arrays ({ssub} -> {dsub})"
-                )));
-            }
-            if src.row == dst.row {
-                return Err(OpError::Bad("copy onto itself".to_string()));
-            }
-            Ok((copy_program(src, dst), Json::obj()))
-        }
-        _ => unreachable!("prepare_program is only called for write/copy"),
     }
 }
 
@@ -935,81 +791,6 @@ mod tests {
         );
         let doc = parse(&state.execute(&read));
         assert_eq!(doc.get("data").unwrap().as_str(), Some(hex.as_str()));
-    }
-
-    #[test]
-    fn batched_run_matches_per_request_execution() {
-        let cfg = tiny_cfg();
-        let lines = [
-            r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
-            r#"{"op":"copy","die":1,"bank":1,"src":4,"dst":9}"#,
-            r#"{"op":"write","die":1,"bank":1,"row":5,"fill":false,"frac":2}"#,
-            r#"{"op":"read","die":1,"bank":1,"row":9}"#,
-        ];
-        let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
-
-        let mut batched = shard(&cfg);
-        let batch_replies = batched.execute_batch(&reqs);
-        let mut serial = shard(&cfg);
-        let serial_replies: Vec<Reply> = reqs.iter().map(|r| serial.execute(r)).collect();
-
-        let render = |rs: &[Reply]| {
-            rs.iter()
-                .map(|r| r.line.clone())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(render(&batch_replies), render(&serial_replies));
-        assert!(
-            batched.board.batched.load(Ordering::Relaxed) >= 1,
-            "first three requests should coalesce"
-        );
-    }
-
-    #[test]
-    fn cross_die_drain_matches_per_request_execution() {
-        // A drain interleaving three dies: each die's requests regroup
-        // and coalesce, yet every reply must be byte-identical to strict
-        // per-request execution and come back at its input position.
-        let cfg = tiny_cfg();
-        let lines = [
-            r#"{"op":"write","die":0,"bank":0,"row":40,"fill":true}"#,
-            r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
-            r#"{"op":"write","die":0,"bank":0,"row":41,"fill":false}"#,
-            r#"{"op":"copy","die":1,"bank":1,"src":4,"dst":9}"#,
-            r#"{"op":"write","die":2,"bank":1,"row":7,"fill":true,"frac":3}"#,
-            r#"{"op":"copy","die":0,"bank":0,"src":40,"dst":44}"#,
-            r#"{"op":"read","die":1,"bank":1,"row":9}"#,
-            r#"{"op":"read","die":0,"bank":0,"row":44}"#,
-        ];
-        let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
-
-        let mut grouped = shard(&cfg);
-        let grouped_replies = grouped.execute_batch(&reqs);
-        let mut serial = shard(&cfg);
-        let serial_replies: Vec<Reply> = reqs.iter().map(|r| serial.execute(r)).collect();
-
-        let render = |rs: &[Reply]| {
-            rs.iter()
-                .map(|r| r.line.clone())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(render(&grouped_replies), render(&serial_replies));
-        assert_eq!(
-            grouped.board.batched.load(Ordering::Relaxed),
-            2,
-            "die 0's and die 1's non-consecutive storage spans each coalesce"
-        );
-        assert_eq!(
-            grouped.board.batch_histogram(),
-            {
-                let mut h = vec![0u64; 9];
-                h[8] = 1;
-                h
-            },
-            "one drain of eight requests"
-        );
     }
 
     #[test]

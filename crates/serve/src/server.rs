@@ -15,8 +15,8 @@
 //!   client;
 //! * each **shard thread** drains its queue in arrival order (up to
 //!   [`ServeConfig::batch`](crate::ServeConfig::batch) requests at a
-//!   time, coalescing storage runs), sheds requests that aged past
-//!   their deadline, executes the rest against its [`ShardState`],
+//!   time), sheds requests that aged past their deadline, executes the
+//!   rest one by one against its [`ShardState`],
 //!   **journals every executed request to its write-ahead log and
 //!   fsyncs once per drain**, and only then replies through the
 //!   per-request back-channel — acknowledge-after-log, so a crash at
@@ -528,8 +528,8 @@ fn shard_loop(mut state: ShardState, rx: Receiver<Envelope>, mut ctx: ShardCtx) 
         if requests.is_empty() {
             continue;
         }
-        let replies: Vec<Reply> = state.execute_batch(&requests);
-        debug_assert_eq!(replies.len(), metas.len());
+        ctx.board.record_drain(requests.len());
+        let replies: Vec<Reply> = requests.iter().map(|req| state.execute(req)).collect();
 
         // Acknowledge-after-log: journal + fsync the whole drain before
         // any response line leaves the process.
@@ -577,8 +577,14 @@ fn shard_loop(mut state: ShardState, rx: Receiver<Envelope>, mut ctx: ShardCtx) 
             let _ = writer.write_all(format!("{}\n", reply.line).as_bytes());
         }
     }
+    // A crash also disconnects the queue; a shard that was already
+    // waiting on it sees the disconnect before the flag and must not
+    // seal.
+    if ctx.crashed.load(Ordering::SeqCst) {
+        return;
+    }
     // Graceful drain: seal so the next incarnation knows the log is
-    // complete. (A crash returns above without ever reaching this.)
+    // complete.
     if let Some(writer) = ctx.wal.take() {
         if let Err(e) = writer.seal() {
             eprintln!("fracdram-serve: shard {}: WAL seal failed ({e})", ctx.shard);
@@ -814,7 +820,6 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
         .field("columns", cfg.columns)
         .field("processed", board.processed.load(Ordering::Relaxed))
         .field("shed", board.shed.load(Ordering::Relaxed))
-        .field("batched", board.batched.load(Ordering::Relaxed))
         .field("deadline_ms", cfg.deadline_ms)
         .field("deadline_shed", board.deadline_shed.load(Ordering::Relaxed))
         .field("io_timeout_ms", cfg.io_timeout_ms)
@@ -868,7 +873,7 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
 /// Replays a canonical request log against a fresh pool and returns the
 /// response log, sorted by `(die, seq)` — byte-identical to the
 /// [`ServerReport::response_log`] the live server recorded for that
-/// log. Runs single-threaded with batching and stalls disabled; this
+/// log. Runs single-threaded with stalls disabled; this
 /// *is* the determinism claim, see DESIGN.md. A config with a chaos
 /// spec re-injects the same `(die, seq)`-keyed die failures the live
 /// run saw, so chaotic runs replay exactly too.

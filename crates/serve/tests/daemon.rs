@@ -211,6 +211,22 @@ fn die_marked_bad_mid_stream_remaps_without_losing_requests() {
     assert_eq!(remaps.len(), 1);
     assert_eq!(remaps[0].get("die").unwrap().as_usize(), Some(0));
     assert_eq!(remaps[0].get("gen").unwrap().as_usize(), Some(1));
+    // Every executed request is counted in exactly one shard drain.
+    let processed = status.get("processed").and_then(Json::as_usize);
+    assert_eq!(processed, Some(18));
+    let Some(Json::Arr(hist)) = status.get("batch_hist") else {
+        panic!("status has no batch_hist array: {status}");
+    };
+    let drained: usize = hist
+        .iter()
+        .enumerate()
+        .map(|(n, count)| n * count.as_usize().unwrap())
+        .sum();
+    assert_eq!(Some(drained), processed, "batch_hist: {status}");
+    assert!(
+        status.get("batched").is_none(),
+        "requests are never coalesced, so status has no batched count"
+    );
 
     drop(client);
     handle.stop();

@@ -196,28 +196,6 @@ pub fn normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// Evaluates `out[i] = args[i].exp()` over a whole slice.
-///
-/// This is the batching seam the simulator's leakage kernel evaluates
-/// decay exponentials through: callers fill an operand buffer, then
-/// hand the slice over in one call instead of interleaving `exp` with
-/// per-column bookkeeping. Inside, each lane is still libm's scalar
-/// `exp` — every consumer pins its outputs bit-for-bit to libm results
-/// (a range-reduced vector polynomial would be faster but would drift
-/// the last ulp, which the byte-identity golden gate forbids) — but the
-/// straight-line loop lets the compiler unroll and schedule the calls
-/// without the caller's control flow in between.
-///
-/// # Panics
-///
-/// Panics when `args` and `out` have different lengths.
-pub fn exp_batch(args: &[f64], out: &mut [f64]) {
-    assert_eq!(args.len(), out.len(), "exp_batch slice length mismatch");
-    for (v, &x) in out.iter_mut().zip(args) {
-        *v = x.exp();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,35 +265,6 @@ mod tests {
             close(normal_cdf(x), p, 1e-10);
         }
         close(normal_quantile(0.975), 1.959_963_984_540_054, 1e-8);
-    }
-
-    #[test]
-    fn exp_batch_is_bit_identical_to_scalar_exp() {
-        // The leakage kernel's byte-identity gate rides on this: the
-        // batched form must reproduce libm's exp to the last bit across
-        // the full argument range it sees (tiny decays, deep decays,
-        // underflow-to-zero, and the ±0 edge).
-        let mut args: Vec<f64> = vec![0.0, -0.0, -1e-18, -745.2, -1000.0, 1.0, 88.0];
-        let mut state = 0x1234_5678u64;
-        for _ in 0..4096 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let mag = ((state >> 11) as f64 / (1u64 << 53) as f64) * 700.0;
-            args.push(-mag);
-        }
-        let mut out = vec![0.0f64; args.len()];
-        exp_batch(&args, &mut out);
-        for (&x, &v) in args.iter().zip(&out) {
-            assert_eq!(v.to_bits(), x.exp().to_bits(), "exp({x})");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn exp_batch_rejects_mismatched_slices() {
-        let mut out = [0.0f64; 2];
-        exp_batch(&[1.0, 2.0, 3.0], &mut out);
     }
 
     #[test]
