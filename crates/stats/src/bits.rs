@@ -152,11 +152,35 @@ impl BitVec {
     /// Panics when the range exceeds the vector.
     pub fn slice(&self, start: usize, len: usize) -> BitVec {
         assert!(start + len <= self.len, "slice out of range");
-        let mut out = BitVec::with_capacity(len);
-        for i in start..start + len {
-            out.push(self.get(i).unwrap());
+        let mut words: Vec<u64> = (0..len.div_ceil(64))
+            .map(|w| self.word_at(start + 64 * w))
+            .collect();
+        if let Some(last) = words.last_mut() {
+            if !len.is_multiple_of(64) {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
         }
-        out
+        BitVec { words, len }
+    }
+
+    /// The 64 bits starting at `start`: bit k of the result is bit
+    /// `start + k`, and positions past the end read as zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `start` is past the end.
+    pub(crate) fn word_at(&self, start: usize) -> u64 {
+        assert!(
+            start < self.len,
+            "word start {start} out of range {}",
+            self.len
+        );
+        let (q, r) = (start / 64, start % 64);
+        let lo = self.words[q] >> r;
+        match self.words.get(q + 1) {
+            Some(&hi) if r != 0 => lo | (hi << (64 - r)),
+            _ => lo,
+        }
     }
 
     /// Converts to a vector of bools.
@@ -295,6 +319,26 @@ mod tests {
         let v: BitVec = (0..130).map(|i| i % 2 == 0).collect();
         let s = v.slice(63, 4);
         assert_eq!(s.to_bools(), vec![false, true, false, true]);
+    }
+
+    #[test]
+    fn slice_matches_per_bit_copy_at_unaligned_ranges() {
+        let v: BitVec = (0..700u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) & 1 == 1)
+            .collect();
+        for start in [0, 1, 5, 63, 64, 65, 127, 130] {
+            for len in [0, 1, 63, 64, 65, 500] {
+                let mut want = BitVec::with_capacity(len);
+                for i in start..start + len {
+                    want.push(v.get(i).unwrap());
+                }
+                let got = v.slice(start, len);
+                // Equality compares words, so it also checks the tail mask.
+                assert_eq!(got, want, "start {start}, len {len}");
+            }
+        }
+        let tail = v.slice(650, 50);
+        assert_eq!(tail.to_bools(), v.to_bools()[650..].to_vec());
     }
 
     #[test]

@@ -30,7 +30,6 @@ impl Complex {
         }
     }
 
-    #[allow(clippy::should_implement_trait)]
     /// Complex multiplication.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, o: Complex) -> Self {
@@ -75,6 +74,13 @@ impl Complex {
 /// In-place iterative radix-2 FFT (forward when `inverse` is false).
 /// The inverse transform is unnormalized (divide by `n` yourself).
 ///
+/// Each stage's twiddles come from the recurrence `w ← w·wlen` starting
+/// at 1. A stage with several chunks fills a table with that recurrence
+/// once and every chunk reads it, so each butterfly sees the same `w`
+/// bits as when every chunk stepped the recurrence itself. The final
+/// stage is one chunk and steps it inline, which caps the table at
+/// `n / 4` entries.
+///
 /// # Panics
 ///
 /// Panics when the length is not a power of two.
@@ -98,23 +104,41 @@ pub fn fft_pow2(data: &mut [Complex], inverse: bool) {
         }
     }
     let sign = if inverse { 1.0 } else { -1.0 };
+    let mut twiddles = Vec::with_capacity(n / 4);
     let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::cis(ang);
+    while len < n {
+        let wlen = Complex::cis(sign * 2.0 * PI / len as f64);
+        let half = len / 2;
+        twiddles.clear();
+        let mut w = Complex::new(1.0, 0.0);
+        for _ in 0..half {
+            twiddles.push(w);
+            w = w.mul(wlen);
+        }
         for chunk in data.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let half = len / 2;
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half].mul(w);
-                chunk[i] = u.add(v);
-                chunk[i + half] = u.sub(v);
-                w = w.mul(wlen);
+            let (lo, hi) = chunk.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(&twiddles) {
+                butterfly(a, b, w);
             }
         }
         len <<= 1;
     }
+    let wlen = Complex::cis(sign * 2.0 * PI / n as f64);
+    let (lo, hi) = data.split_at_mut(n / 2);
+    let mut w = Complex::new(1.0, 0.0);
+    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+        butterfly(a, b, w);
+        w = w.mul(wlen);
+    }
+}
+
+/// Radix-2 butterfly: `(a, b) ← (a + b·w, a − b·w)`.
+#[inline]
+fn butterfly(a: &mut Complex, b: &mut Complex, w: Complex) {
+    let u = *a;
+    let v = b.mul(w);
+    *a = u.add(v);
+    *b = u.sub(v);
 }
 
 /// Forward DFT of arbitrary length via Bluestein's algorithm (falls back
@@ -278,9 +302,67 @@ mod tests {
         assert!((time_energy - freq_energy).abs() < 1e-8);
     }
 
+    /// The transform before the twiddle table: every chunk of a stage
+    /// steps its own `w ← w·wlen` recurrence from 1.
+    fn recurrence_fft_pow2(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        if n <= 1 {
+            return;
+        }
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex::cis(sign * 2.0 * PI / len as f64);
+            for chunk in data.chunks_mut(len) {
+                let mut w = Complex::new(1.0, 0.0);
+                let half = len / 2;
+                for i in 0..half {
+                    let u = chunk[i];
+                    let v = chunk[i + half].mul(w);
+                    chunk[i] = u.add(v);
+                    chunk[i + half] = u.sub(v);
+                    w = w.mul(wlen);
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn twiddle_table_is_bit_identical_to_the_recurrence() {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for log in 0..=16 {
+            let sig = test_signal(1 << log);
+            for inverse in [false, true] {
+                let mut got = sig.clone();
+                fft_pow2(&mut got, inverse);
+                let mut want = sig.clone();
+                recurrence_fft_pow2(&mut want, inverse);
+                assert!(
+                    bits(&got) == bits(&want),
+                    "n = 2^{log}, inverse {inverse}: table FFT differs"
+                );
+            }
+        }
+    }
+
     #[test]
     fn magnitudes_are_bit_identical_to_dft_moduli() {
-        for n in [1000usize, 1024, 4097, 10_000] {
+        for n in [1000usize, 1024, 4097, 10_000, 100_003] {
             let real: Vec<f64> = (0..n)
                 .map(|i| if (i * 7919 + 13) % 11 < 5 { 1.0 } else { -1.0 })
                 .collect();

@@ -27,6 +27,52 @@ pub fn aperiodic_templates(m: usize) -> Vec<Vec<bool>> {
     out
 }
 
+/// Packs a template MSB-first: its first bit lands at bit `m - 1`, the
+/// position a stream bit reaches after `m - 1` more shifts into a
+/// rolling window.
+fn pack_template(template: &[bool]) -> u16 {
+    template
+        .iter()
+        .fold(0u16, |acc, &bit| (acc << 1) | u16::from(bit))
+}
+
+/// Fills `out` with the rolling 9-bit windows of the `len` bits of
+/// `bits` from `start`: `out[i]` packs bits `start + i ..
+/// start + i + 9` MSB-first, like [`pack_template`].
+fn windows_into(bits: &BitVec, start: usize, len: usize, out: &mut Vec<u16>) {
+    const MASK: u16 = (1 << TEMPLATE_LEN) - 1;
+    out.clear();
+    let mut window = 0u16;
+    let mut word = 0u64;
+    for p in 0..len {
+        if p % 64 == 0 {
+            word = bits.word_at(start + p);
+        }
+        window = ((window << 1) | ((word >> (p % 64)) & 1) as u16) & MASK;
+        if p + 1 >= TEMPLATE_LEN {
+            out.push(window);
+        }
+    }
+}
+
+/// Non-overlapping matches of `template` among `windows`: a match skips
+/// the scan past its last bit.
+///
+/// Searching for the next match, rather than stepping one window per
+/// iteration, keeps the window load off the loop-carried dependency.
+fn non_overlapping_count(windows: &[u16], template: u16) -> u64 {
+    let mut count = 0;
+    let mut i = 0;
+    while let Some(offset) = windows
+        .get(i..)
+        .and_then(|rest| rest.iter().position(|&w| w == template))
+    {
+        count += 1;
+        i += offset + TEMPLATE_LEN;
+    }
+    count
+}
+
 /// §2.7 Non-overlapping template matching: occurrences of an aperiodic
 /// pattern in N = 8 blocks, scanned without overlap.
 ///
@@ -49,26 +95,28 @@ pub fn non_overlapping_template(bits: &BitVec, template_count: usize) -> TestRes
     let mean = (block - m + 1) as f64 / 2f64.powi(m as i32);
     let var =
         block as f64 * (2f64.powi(-(m as i32)) - (2 * m - 1) as f64 * 2f64.powi(-2 * m as i32));
-    let data = bits.to_bools();
-    let mut p_values = Vec::with_capacity(used);
-    for template in templates.iter().take(used) {
-        let mut chi2 = 0.0;
-        for b in 0..N_BLOCKS {
-            let slice = &data[b * block..(b + 1) * block];
-            let mut count = 0u64;
-            let mut i = 0;
-            while i + m <= slice.len() {
-                if slice[i..i + m] == template[..] {
-                    count += 1;
-                    i += m; // non-overlapping: skip past the match
-                } else {
-                    i += 1;
-                }
-            }
-            chi2 += (count as f64 - mean) * (count as f64 - mean) / var;
+    let packed: Vec<u16> = templates
+        .iter()
+        .take(used)
+        .map(|t| pack_template(t))
+        .collect();
+    let mut counts = vec![[0u64; N_BLOCKS]; used];
+    let mut windows = Vec::with_capacity(block);
+    for b in 0..N_BLOCKS {
+        windows_into(bits, b * block, block, &mut windows);
+        for (per_block, &template) in counts.iter_mut().zip(&packed) {
+            per_block[b] = non_overlapping_count(&windows, template);
         }
-        p_values.push(gamma_q(N_BLOCKS as f64 / 2.0, chi2 / 2.0));
     }
+    let p_values = counts
+        .iter()
+        .map(|per_block| {
+            let chi2 = per_block.iter().fold(0.0, |chi2, &count| {
+                chi2 + (count as f64 - mean) * (count as f64 - mean) / var
+            });
+            gamma_q(N_BLOCKS as f64 / 2.0, chi2 / 2.0)
+        })
+        .collect();
     TestResult::from_p_values("Non-overlapping template", p_values)
 }
 
@@ -87,7 +135,6 @@ pub fn overlapping_template(bits: &BitVec) -> TestResult {
         0.364_091, 0.185_659, 0.139_381, 0.100_571, 0.070_432, 0.139_865,
     ];
     let n = bits.len();
-    let m = TEMPLATE_LEN;
     let blocks = n / M_BLOCK;
     if blocks < 38 {
         return TestResult::not_applicable(
@@ -95,16 +142,12 @@ pub fn overlapping_template(bits: &BitVec) -> TestResult {
             format!("{blocks} blocks < 38 (n = {n})"),
         );
     }
-    let data = bits.to_bools();
+    let all_ones = pack_template(&[true; TEMPLATE_LEN]);
+    let mut windows = Vec::with_capacity(M_BLOCK);
     let mut nu = [0u64; K + 1];
     for b in 0..blocks {
-        let slice = &data[b * M_BLOCK..(b + 1) * M_BLOCK];
-        let mut count = 0usize;
-        for i in 0..=(M_BLOCK - m) {
-            if slice[i..i + m].iter().all(|&x| x) {
-                count += 1;
-            }
-        }
+        windows_into(bits, b * M_BLOCK, M_BLOCK, &mut windows);
+        let count = windows.iter().filter(|&&w| w == all_ones).count();
         nu[count.min(K)] += 1;
     }
     let nf = blocks as f64;
@@ -144,6 +187,68 @@ mod tests {
         // m=2: "01" and "10" are aperiodic; "00" and "11" are not.
         let t = aperiodic_templates(2);
         assert_eq!(t.len(), 2);
+    }
+
+    /// The bool-slice scans the integer windows replaced.
+    fn bool_non_overlapping(slice: &[bool], template: &[bool]) -> u64 {
+        let (m, mut count, mut i) = (template.len(), 0, 0);
+        while i + m <= slice.len() {
+            if slice[i..i + m] == *template {
+                count += 1;
+                i += m;
+            } else {
+                i += 1;
+            }
+        }
+        count
+    }
+
+    fn bool_all_ones(slice: &[bool]) -> usize {
+        slice
+            .windows(TEMPLATE_LEN)
+            .filter(|w| w.iter().all(|&x| x))
+            .count()
+    }
+
+    #[test]
+    fn window_counts_match_bool_slice_scans() {
+        let inputs = [
+            reference_random_bits(5_000, 8),
+            (0..5_000).map(|_| true).collect(),
+            (0..5_000).map(|i| i % 7 < 3).collect(),
+            (0..5_000).map(|i| i % 10 == 9).collect(),
+        ];
+        // Periodic templates can overlap themselves, so they also pin
+        // the skip-past-a-match rule.
+        let mut templates = aperiodic_templates(TEMPLATE_LEN);
+        templates.push(vec![true; TEMPLATE_LEN]);
+        templates.push((0..TEMPLATE_LEN).map(|i| i % 2 == 0).collect());
+        let all_ones = pack_template(&[true; TEMPLATE_LEN]);
+        let mut windows = Vec::new();
+        for bits in &inputs {
+            let data = bits.to_bools();
+            // Unaligned starts and lengths, block sizes of both tests.
+            for (start, len) in [
+                (0, 625),
+                (625, 625),
+                (3, 1032),
+                (1032, 1032),
+                (100, 9),
+                (7, 8),
+            ] {
+                let slice = &data[start..start + len];
+                windows_into(bits, start, len, &mut windows);
+                for t in &templates {
+                    assert_eq!(
+                        non_overlapping_count(&windows, pack_template(t)),
+                        bool_non_overlapping(slice, t),
+                        "template {t:?} at {start}+{len}"
+                    );
+                }
+                let ones = windows.iter().filter(|&&w| w == all_ones).count();
+                assert_eq!(ones, bool_all_ones(slice), "all-ones at {start}+{len}");
+            }
+        }
     }
 
     #[test]
